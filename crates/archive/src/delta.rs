@@ -27,7 +27,7 @@
 //! escape bytes), enforced by [`cc_lossless::decompress_capped`].
 
 use cc_codecs::varint::{push_varint, read_varint, unzigzag, zigzag};
-use cc_lossless::{shuffle, unshuffle, Level};
+use cc_lossless::{shuffle, Level};
 
 use crate::ArchiveError;
 
@@ -107,32 +107,46 @@ pub fn encode_bounded(frame: &[f32], prev: &[f32], e: Option<f64>) -> (Vec<u8>, 
     (blob, recon)
 }
 
-/// Decode a delta blob of `n` elements against the reconstructed parent
-/// frame. `allow_quantized` reflects the variable's declared delta mode:
-/// bounded variables accept modes 0 and 1, XOR variables accept modes 2
-/// and 1 — anything else is corrupt. Total over untrusted bytes.
+/// Decode a delta blob against the reconstructed parent frame into a new
+/// frame. Convenience over [`decode_into`] for callers that keep the
+/// parent.
 pub fn decode(blob: &[u8], prev: &[f32], allow_quantized: bool) -> Result<Vec<f32>, ArchiveError> {
-    let n = prev.len();
+    let mut recon = prev.to_vec();
+    decode_into(blob, &mut recon, allow_quantized)?;
+    Ok(recon)
+}
+
+/// Decode a delta blob in place: `recon` holds the reconstructed parent
+/// frame on entry and this frame on success (its length is the element
+/// count). On error its contents are unspecified. `allow_quantized`
+/// reflects the variable's declared delta mode: bounded variables accept
+/// modes 0 and 1, XOR variables accept modes 2 and 1 — anything else is
+/// corrupt. Total over untrusted bytes.
+pub fn decode_into(
+    blob: &[u8],
+    recon: &mut [f32],
+    allow_quantized: bool,
+) -> Result<(), ArchiveError> {
+    let _s = cc_obs::span("archive.delta.decode");
     let (&mode, rest) = blob
         .split_first()
         .ok_or(ArchiveError::Corrupt("empty delta frame"))?;
     match mode {
-        MODE_QUANTIZED if allow_quantized => decode_quantized(rest, prev),
-        MODE_EXACT => decode_raw(rest, n).map(|bits| bits.iter().map(|&b| f32::from_bits(b)).collect()),
-        MODE_XOR if !allow_quantized => {
-            let bits = decode_raw(rest, n)?;
-            Ok(bits
-                .iter()
-                .zip(prev)
-                .map(|(&b, p)| f32::from_bits(b ^ p.to_bits()))
-                .collect())
-        }
+        MODE_QUANTIZED if allow_quantized => decode_quantized(rest, recon),
+        MODE_EXACT => decode_raw(rest, recon, |word, _| word),
+        MODE_XOR if !allow_quantized => decode_raw(rest, recon, |word, parent| word ^ parent),
         _ => Err(ArchiveError::Corrupt("delta frame mode contradicts index")),
     }
 }
 
-/// Shared mode-1/2 payload: deflate(shuffle(4n bytes)) → n u32 words.
-fn decode_raw(rest: &[u8], n: usize) -> Result<Vec<u32>, ArchiveError> {
+/// Shared mode-1/2 payload: deflate(shuffle(4n bytes)) → n u32 words,
+/// each combined with the parent's bits by `apply(word, parent_bits)`.
+fn decode_raw(
+    rest: &[u8],
+    recon: &mut [f32],
+    apply: impl Fn(u32, u32) -> u32,
+) -> Result<(), ArchiveError> {
+    let n = recon.len();
     let raw_len = n
         .checked_mul(4)
         .ok_or(ArchiveError::Corrupt("delta frame element count overflows"))?;
@@ -140,15 +154,19 @@ fn decode_raw(rest: &[u8], n: usize) -> Result<Vec<u32>, ArchiveError> {
     if shuffled.len() != raw_len {
         return Err(ArchiveError::Corrupt("delta frame payload length mismatch"));
     }
-    let bytes = unshuffle(&shuffled, 4);
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
+    // Byte plane k of the shuffled payload holds byte k of every word.
+    let (b0, planes) = shuffled.split_at(n);
+    let (b1, planes) = planes.split_at(n);
+    let (b2, b3) = planes.split_at(n);
+    for (i, p) in recon.iter_mut().enumerate() {
+        let word = u32::from_le_bytes([b0[i], b1[i], b2[i], b3[i]]);
+        *p = f32::from_bits(apply(word, p.to_bits()));
+    }
+    Ok(())
 }
 
-fn decode_quantized(rest: &[u8], prev: &[f32]) -> Result<Vec<f32>, ArchiveError> {
-    let n = prev.len();
+fn decode_quantized(rest: &[u8], recon: &mut [f32]) -> Result<(), ArchiveError> {
+    let n = recon.len();
     if rest.len() < 8 {
         return Err(ArchiveError::Corrupt("delta frame shorter than bound header"));
     }
@@ -182,29 +200,28 @@ fn decode_quantized(rest: &[u8], prev: &[f32]) -> Result<Vec<f32>, ArchiveError>
     let esc_bytes = &body[8 + code_len..];
     let mut pos = 0usize;
     let mut esc = 0usize;
-    let mut out = Vec::with_capacity(n);
-    for &p in prev {
+    for p in recon.iter_mut() {
         let tok = read_varint(codes, &mut pos).map_err(ArchiveError::Codec)?;
         if tok == 0 {
             if esc >= n_escapes {
                 return Err(ArchiveError::Corrupt("delta frame escape overrun"));
             }
             let b = &esc_bytes[esc * 4..esc * 4 + 4];
-            out.push(f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])));
+            *p = f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
             esc += 1;
         } else {
             let q = unzigzag(tok - 1);
             if q.abs() > QMAX {
                 return Err(ArchiveError::Corrupt("delta frame code out of range"));
             }
-            out.push((p as f64 + q as f64 * twoe) as f32);
+            *p = (*p as f64 + q as f64 * twoe) as f32;
         }
     }
     // Canonical consumption: every code byte and every escape spoken for.
     if pos != codes.len() || esc != n_escapes {
         return Err(ArchiveError::Corrupt("delta frame trailing sections"));
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -82,19 +82,25 @@ impl<S: SliceSource> ArchiveReader<S> {
             .ok_or(ArchiveError::Corrupt("unknown keyframe codec"))?
             .codec();
         let allow_quantized = matches!(entry.delta, DeltaMode::Bounded(_));
+        // One reconstruction buffer for the whole chain: each delta
+        // replays in place over its parent.
         let mut recon: Option<Vec<f32>> = None;
         for i in chain {
             let f = entry.frames[i];
             let blob = self.read_frame(f.offset, f.len)?;
-            recon = Some(match f.kind {
+            match f.kind {
                 FrameKind::Key => {
-                    decompress_chunked(codec.as_ref(), &blob, entry.layout, self.workers)?
+                    let key =
+                        decompress_chunked(codec.as_ref(), &blob, entry.layout, self.workers)?;
+                    recon = Some(key);
                 }
                 FrameKind::Delta => {
-                    let prev = recon.ok_or(ArchiveError::Corrupt("chain starts with delta"))?;
-                    delta::decode(&blob, &prev, allow_quantized)?
+                    let prev = recon
+                        .as_mut()
+                        .ok_or(ArchiveError::Corrupt("chain starts with delta"))?;
+                    delta::decode_into(&blob, prev, allow_quantized)?;
                 }
-            });
+            }
         }
         recon.ok_or(ArchiveError::Corrupt("empty keyframe chain"))
     }
@@ -130,8 +136,9 @@ impl<S: SliceSource> ArchiveReader<S> {
                 FrameKind::Delta => {
                     // `parent` < own index is guaranteed by index validation,
                     // so the parent reconstruction is already in `out`.
-                    let prev = &out[f.parent as usize];
-                    delta::decode(&blob, prev, allow_quantized)?
+                    let mut recon = out[f.parent as usize].clone();
+                    delta::decode_into(&blob, &mut recon, allow_quantized)?;
+                    recon
                 }
             };
             out.push(recon);

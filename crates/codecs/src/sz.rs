@@ -149,12 +149,12 @@ impl Sz {
 
 /// 2-D Lorenzo prediction over decoded values: `left + above − above-left`
 /// in the (level × horizontal) layout, degrading to the available
-/// neighbours on the edges. `get` reads the reconstruction at an index.
+/// neighbours on the edges. `col` is `i % npts` (callers walking the
+/// field in order track it without a division); `get` reads the
+/// reconstruction at an index.
 #[inline]
-fn lorenzo_pred(i: usize, npts: usize, get: &dyn Fn(usize) -> f32) -> f64 {
-    let lev = i / npts;
-    let p = i % npts;
-    match (lev > 0, p > 0) {
+fn lorenzo_pred(i: usize, npts: usize, col: usize, get: impl Fn(usize) -> f32) -> f64 {
+    match (i >= npts, col > 0) {
         (true, true) => {
             get(i - 1) as f64 + get(i - npts) as f64 - get(i - npts - 1) as f64
         }
@@ -234,7 +234,7 @@ fn try_block(
         let i = start + j;
         let x = data[i];
         let p = match pred {
-            Predictor::Lorenzo => lorenzo_pred(i, npts, &|k| {
+            Predictor::Lorenzo => lorenzo_pred(i, npts, i % npts, |k| {
                 if k >= start { recon[k - start] } else { state[k] }
             }),
             Predictor::Regression { a, b } => a as f64 + b as f64 * j as f64,
@@ -436,7 +436,10 @@ impl Sz {
         let mut esc = 0usize;
         let mut reg_idx = 0usize;
         let mut pred = Predictor::Lorenzo;
+        let mut next_col = 0usize;
         for i in 0..n {
+            let col = next_col;
+            next_col = if col + 1 == npts { 0 } else { col + 1 };
             let j = i % BLOCK;
             if j == 0 {
                 let blk = i / BLOCK;
@@ -467,7 +470,7 @@ impl Sz {
                 return Err(CodecError::Corrupt("sz code out of range"));
             }
             let p = match pred {
-                Predictor::Lorenzo => lorenzo_pred(i, npts, &|k| out[k]),
+                Predictor::Lorenzo => lorenzo_pred(i, npts, col, |k| out[k]),
                 Predictor::Regression { a, b } => a as f64 + b as f64 * j as f64,
             };
             let xr = (p + q as f64 * twoe) as f32;

@@ -45,6 +45,13 @@ pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
 /// (honest tokens are `zigzag(|q| ≤ 2^30) + 1`).
 #[inline]
 pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
+    // Single-byte tokens (|q| ≤ 31) are the common case in smooth fields.
+    if let Some(&b) = bytes.get(*pos) {
+        if b < 0x80 {
+            *pos += 1;
+            return Ok(b as u64);
+        }
+    }
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {

@@ -123,7 +123,7 @@ impl BitWriter {
 /// to the corresponding stream bit at `pos * 8` onward. Refilling may
 /// therefore OR a full word over the live bits: overlapping positions
 /// receive the same value they already hold.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     data: &'a [u8],
     /// Next byte index.
@@ -143,7 +143,7 @@ impl<'a> BitReader<'a> {
     fn refill(&mut self) {
         if self.nbits >= 57 {
             // Already full enough for any single read; also keeps the
-            // shift below in range when unread_bits pushed nbits to 64.
+            // shift below in range when a word refill left nbits at 64.
             return;
         }
         if self.data.len() - self.pos >= 8 {
@@ -260,17 +260,27 @@ impl<'a> BitReader<'a> {
         Ok(())
     }
 
-    /// Push the low `n` bits of `value` back onto the stream so the next
-    /// read returns them first. Used by table-driven Huffman decoding,
-    /// which peeks the maximum code length and returns the excess.
-    ///
-    /// The caller must not unread more bits than it has just read (the
-    /// accumulator holds at most 64 bits).
+    /// Refill so that at least `n ≤ 57` bits are buffered if the stream
+    /// still holds them, and return `(bits, avail)` without consuming
+    /// anything: `bits` is the buffer LSB-first, and its low `avail` bits
+    /// are real stream bits. Past the end of the stream every bit reads as
+    /// zero, so a table lookup over the low bits is always well defined.
+    /// Pair with [`Self::consume_bits`].
     #[inline]
-    pub fn unread_bits(&mut self, value: u64, n: u32) {
-        debug_assert!(self.nbits + n <= 64, "unread overflow");
-        self.acc = (self.acc << n) | (value & if n == 0 { 0 } else { u64::MAX >> (64 - n) });
-        self.nbits += n;
+    pub fn peek_bits(&mut self, n: u32) -> (u64, u32) {
+        debug_assert!(n <= 57);
+        if self.nbits < n {
+            self.refill();
+        }
+        (self.acc, self.nbits)
+    }
+
+    /// Drop `n` bits that a [`Self::peek_bits`] call reported available.
+    #[inline]
+    pub fn consume_bits(&mut self, n: u32) {
+        debug_assert!(n <= self.nbits && n < 64, "consume past the peeked bits");
+        self.acc >>= n;
+        self.nbits -= n;
     }
 
     /// Discard bits up to the next byte boundary.
@@ -439,8 +449,9 @@ mod tests {
     }
 
     #[test]
-    fn unread_bits_roundtrip_after_word_refill() {
-        // Exercise unread against the word-refill stale-bit invariant.
+    fn peek_consume_matches_read_after_word_refill() {
+        // Peeking must agree with the word-refill stale-bit invariant, and
+        // past the end of the stream the unavailable bits read as zero.
         let mut w = BitWriter::new();
         for i in 0..64u64 {
             w.write_bits(i, 6);
@@ -448,10 +459,13 @@ mod tests {
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
         for i in 0..64u64 {
-            let peek = r.read_bits(6).unwrap();
-            r.unread_bits(peek, 6);
-            assert_eq!(r.read_bits(6).unwrap(), i);
+            let (bits, avail) = r.peek_bits(15);
+            assert!(avail >= 6);
+            assert_eq!(bits & 0x3F, i);
+            r.consume_bits(6);
         }
+        let (bits, avail) = r.peek_bits(15);
+        assert_eq!((bits, avail), (0, 0));
     }
 
     #[test]

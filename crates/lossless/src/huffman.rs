@@ -2,14 +2,21 @@
 //!
 //! Code lengths are derived from symbol frequencies with the package-merge
 //! algorithm (optimal under a maximum-length constraint), then assigned
-//! canonically so only the length vector needs to be transmitted. Decoding
-//! uses a flat lookup table over [`MAX_CODE_LEN`] bits.
+//! canonically so only the length vector needs to be transmitted.
+//!
+//! Decoding is two-level, zlib-style. A [`ROOT_BITS`]-bit root table
+//! resolves every code of up to ten bits in one lookup; each root prefix
+//! shared by longer codes links to a subtable indexed by the next
+//! `longest − 10` bits. Ten bits covers almost every literal the deflate
+//! blocks here emit, and the root is 1,024 entries where a flat
+//! [`MAX_CODE_LEN`]-bit table would be 32,768 — a table that is rebuilt
+//! for every block.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::Error;
 
-/// Maximum code length; 15 matches DEFLATE and keeps the decode table at
-/// 32,768 entries.
+/// Maximum code length; 15 matches DEFLATE and keeps every subtable at
+/// most 32 entries.
 pub const MAX_CODE_LEN: u32 = 15;
 
 /// Compute length-limited Huffman code lengths for `freqs` (zero frequency →
@@ -159,12 +166,27 @@ impl Encoder {
     }
 }
 
-/// Table-driven decoder for canonical codes.
+/// Bits resolved by the root table. Every code of up to this length
+/// decodes with one lookup; longer codes take a second lookup in a
+/// per-prefix subtable.
+pub const ROOT_BITS: u32 = 10;
+const ROOT_SIZE: usize = 1 << ROOT_BITS;
+const ROOT_MASK: usize = ROOT_SIZE - 1;
+
+/// Packed table entry: `payload << 16 | LINK? | len`. A symbol entry holds
+/// the symbol and its full code length (1..=15); a root link entry holds
+/// the subtable's offset and its index width (1..=5). Zero is invalid.
+const LEN_MASK: u32 = 0xF;
+const LINK: u32 = 0x10;
+
+/// Two-level table decoder for canonical codes.
 #[derive(Debug)]
 pub struct Decoder {
-    /// `table[bits] = (symbol, code_len)`; index is the next `max` stream
-    /// bits (LSB-first).
-    table: Vec<(u16, u8)>,
+    /// Indexed by the next [`ROOT_BITS`] stream bits (LSB-first).
+    root: [u32; ROOT_SIZE],
+    /// Subtables for codes longer than [`ROOT_BITS`], one per root prefix
+    /// that such codes share, indexed by the bits after the root's.
+    sub: Vec<u32>,
     max: u32,
 }
 
@@ -174,11 +196,15 @@ impl Decoder {
     /// undefined entries decode to an error at read time.
     pub fn from_lengths(lengths: &[u32]) -> Result<Self, Error> {
         let max = lengths.iter().copied().max().unwrap_or(0);
+        let mut dec = Decoder { root: [0; ROOT_SIZE], sub: Vec::new(), max };
         if max == 0 {
-            return Ok(Decoder { table: Vec::new(), max: 0 });
+            return Ok(dec);
         }
         if max > MAX_CODE_LEN {
             return Err(Error::Corrupt("code length exceeds maximum"));
+        }
+        if lengths.len() > 1 << 16 {
+            return Err(Error::Corrupt("Huffman alphabet too large"));
         }
         // Kraft check for over-subscription.
         let kraft: u64 = lengths
@@ -190,62 +216,86 @@ impl Decoder {
             return Err(Error::Corrupt("over-subscribed Huffman code"));
         }
         let codes = canonical_codes(lengths);
-        let mut table = vec![(u16::MAX, 0u8); 1usize << max];
+        if max > ROOT_BITS {
+            // Size each subtable by the longest code under its root prefix.
+            // Codes are bit-reversed, so the prefix is the code's low bits.
+            let mut sub_bits = [0u8; ROOT_SIZE];
+            for (&len, &code) in lengths.iter().zip(&codes) {
+                if len > ROOT_BITS {
+                    let p = code as usize & ROOT_MASK;
+                    sub_bits[p] = sub_bits[p].max((len - ROOT_BITS) as u8);
+                }
+            }
+            // At most 1024 subtables of ≤ 32 entries: offsets fit 16 bits.
+            let mut size = 0u32;
+            for (p, &bits) in sub_bits.iter().enumerate() {
+                if bits > 0 {
+                    dec.root[p] = size << 16 | LINK | bits as u32;
+                    size += 1 << bits;
+                }
+            }
+            dec.sub = vec![0; size as usize];
+        }
         for (sym, (&len, &code)) in lengths.iter().zip(&codes).enumerate() {
             if len == 0 {
                 continue;
             }
-            // The code occupies every table slot whose low `len` bits equal
-            // `code` (code is already bit-reversed for LSB-first order).
-            let step = 1usize << len;
-            let mut idx = code as usize;
+            let entry = (sym as u32) << 16 | len;
+            // The code occupies every slot whose low bits equal it.
+            let (table, mut idx, step) = if len <= ROOT_BITS {
+                (&mut dec.root[..], code as usize, 1usize << len)
+            } else {
+                let link = dec.root[code as usize & ROOT_MASK];
+                let off = (link >> 16) as usize;
+                let subtable = &mut dec.sub[off..off + (1 << (link & LEN_MASK))];
+                (
+                    subtable,
+                    (code >> ROOT_BITS) as usize,
+                    1 << (len - ROOT_BITS),
+                )
+            };
             while idx < table.len() {
-                table[idx] = (sym as u16, len as u8);
+                table[idx] = entry;
                 idx += step;
             }
         }
-        Ok(Decoder { table, max })
+        Ok(dec)
+    }
+
+    /// Decode the code at the front of `bits`, the next stream bits
+    /// LSB-first of which `avail` are real (the rest read as zero past the
+    /// end of the stream). Returns the symbol and its code length without
+    /// consuming anything. A code longer than `avail` matched the zero
+    /// padding, so it is a truncated stream, not a symbol.
+    #[inline]
+    pub fn decode_bits(&self, bits: u64, avail: u32) -> Result<(usize, u32), Error> {
+        let mut e = self.root[bits as usize & ROOT_MASK];
+        if e & LINK != 0 {
+            let idx = (bits >> ROOT_BITS) as usize & ((1 << (e & LEN_MASK)) - 1);
+            e = self.sub[(e >> 16) as usize + idx];
+        }
+        let len = e & LEN_MASK;
+        if len == 0 {
+            let what = if self.max == 0 {
+                "empty Huffman alphabet"
+            } else {
+                "invalid Huffman code"
+            };
+            return Err(Error::Corrupt(what));
+        }
+        if len > avail {
+            return Err(Error::UnexpectedEof);
+        }
+        Ok(((e >> 16) as usize, len))
     }
 
     /// Decode one symbol.
+    #[inline]
     pub fn read_symbol(&self, r: &mut BitReader<'_>) -> Result<usize, Error> {
-        if self.max == 0 {
-            return Err(Error::Corrupt("empty Huffman alphabet"));
-        }
-        // Peek up to `max` bits; near stream end fewer may remain, so fall
-        // back to bit-by-bit narrowing.
-        let avail = self.max;
-        match r.read_bits(avail) {
-            Ok(bits) => {
-                let (sym, len) = self.table[bits as usize];
-                if sym == u16::MAX {
-                    return Err(Error::Corrupt("invalid Huffman code"));
-                }
-                // Push back the unconsumed bits by re-reading: BitReader has
-                // no unread; instead we re-buffer via a small shim below.
-                // To keep the hot path allocation-free, BitReader exposes
-                // exact consumption through read_bits only, so we emulate
-                // unread with the `unread` helper.
-                r.unread_bits(bits >> len, avail - len as u32);
-                Ok(sym as usize)
-            }
-            Err(_) => {
-                // Slow path: narrow bit by bit.
-                let mut code = 0u64;
-                for n in 0..self.max {
-                    code |= (r.read_bit()? as u64) << n;
-                    // Check if any symbol matches at this length by probing
-                    // the table with zero padding: valid iff the entry's
-                    // length equals n+1.
-                    let probe = code as usize & ((1usize << self.max) - 1);
-                    let (sym, len) = self.table[probe];
-                    if sym != u16::MAX && len as u32 == n + 1 {
-                        return Ok(sym as usize);
-                    }
-                }
-                Err(Error::Corrupt("invalid Huffman code at stream end"))
-            }
-        }
+        let (bits, avail) = r.peek_bits(MAX_CODE_LEN);
+        let (sym, len) = self.decode_bits(bits, avail)?;
+        r.consume_bits(len);
+        Ok(sym)
     }
 }
 

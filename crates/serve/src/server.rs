@@ -78,7 +78,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -1089,7 +1089,9 @@ fn archive_err(e: ArchiveError) -> (ErrCode, String) {
 
 /// Validate and store a client-supplied archive. The container is fully
 /// parsed (footer, index, chain invariants) *before* anything touches
-/// disk, so the archive directory only ever holds well-formed files.
+/// disk, and the store replaces the old file atomically, so the archive
+/// directory only ever holds well-formed files: a concurrent fetch reads
+/// the old version or the new one, and a failed put leaves the old one.
 fn handle_archive_put(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, (ErrCode, String)> {
     let req = ArchivePutRequest::decode(payload)
         .map_err(|_| (ErrCode::BadPayload, "malformed ArchivePut payload".into()))?;
@@ -1098,9 +1100,37 @@ fn handle_archive_put(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, (ErrCo
         .map_err(|e| (ErrCode::BadPayload, format!("invalid archive: {e}")))?;
     let vars = reader.index().vars.len() as u32;
     let frames: u32 = reader.index().vars.iter().map(|v| v.frames.len() as u32).sum();
-    std::fs::write(&path, &req.bytes)
+    write_atomic(&path, &req.bytes)
         .map_err(|e| (ErrCode::Internal, format!("archive store failed: {e}")))?;
     Ok(ArchivePutResponse { bytes: req.bytes.len() as u64, vars, frames }.encode())
+}
+
+/// Replace `path` with `bytes` atomically: write a uniquely named
+/// temporary file beside it, sync it, rename it over `path`, then sync
+/// the directory so the rename itself is durable. Open readers keep the
+/// file they opened; new ones see the complete new file. The temporary
+/// name ends in `.tmp`, so it never resolves as an archive name, and it
+/// is removed again if any step before the rename fails.
+fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}.{}.tmp", std::process::id(), SEQ.fetch_add(1, Ordering::Relaxed)));
+    let tmp = PathBuf::from(tmp);
+    let stored = std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if stored.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return stored;
+    }
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// Fetch one (variable, timestep, level) slice from a stored archive,

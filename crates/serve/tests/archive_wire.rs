@@ -1,7 +1,8 @@
 //! Archive ops against a live server: `ArchivePut` validates and
 //! stores, `FetchSlice` answers slices byte-identical to a local
 //! sequential full decode (including when the reply streams as
-//! `OP_STREAM` pieces), and the error paths come back as typed frames.
+//! `OP_STREAM` pieces), puts replace a stored archive atomically under
+//! concurrent fetches, and the error paths come back as typed frames.
 
 use cc_archive::{ArchiveOptions, ArchiveReader, ArchiveWriter};
 use cc_codecs::sz::ErrorBound;
@@ -11,6 +12,8 @@ use cc_model::Model;
 use cc_serve::wire::ErrCode;
 use cc_serve::{Client, ClientError, Server, ServerConfig};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 fn temp_archive_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cc-archive-wire-{tag}-{}", std::process::id()));
@@ -19,14 +22,14 @@ fn temp_archive_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A short correlated model run archived with SZ keyframes + bounded
-/// deltas, plus the raw frames for reference decoding.
-fn build_archive(nslices: usize) -> (Vec<u8>, Vec<Vec<f32>>, Layout) {
+/// A short correlated model run (trajectory `run`) archived with SZ
+/// keyframes + bounded deltas, plus the raw frames for reference decoding.
+fn build_archive(nslices: usize, run: usize) -> (Vec<u8>, Vec<Vec<f32>>, Layout) {
     let model = Model::new(Resolution::reduced(2, 3), 7);
     let id = model.var_id("T").expect("known variable");
     let layout = Layout::for_grid(model.grid(), model.var_nlev(id));
     let frames: Vec<Vec<f32>> = model
-        .trajectory(0, nslices, 0.05)
+        .trajectory(run, nslices, 0.05)
         .iter()
         .map(|m| model.synthesize(m, id).data)
         .collect();
@@ -41,7 +44,7 @@ fn build_archive(nslices: usize) -> (Vec<u8>, Vec<Vec<f32>>, Layout) {
 #[test]
 fn fetched_slices_match_local_sequential_decode_over_the_wire() {
     let dir = temp_archive_dir("roundtrip");
-    let (bytes, _, layout) = build_archive(20);
+    let (bytes, _, layout) = build_archive(20, 0);
 
     // Local reference: sequential full decode of every frame.
     let mut local = ArchiveReader::open(bytes.as_slice()).expect("local open");
@@ -80,9 +83,73 @@ fn fetched_slices_match_local_sequential_decode_over_the_wire() {
 }
 
 #[test]
+fn puts_replace_archives_atomically_beside_concurrent_fetches() {
+    const NSLICES: usize = 12;
+    const PUTS: usize = 40;
+    let dir = temp_archive_dir("atomic");
+    let versions = [build_archive(NSLICES, 0), build_archive(NSLICES, 1)];
+    let layout = versions[0].2;
+    let references: Vec<Vec<Vec<f32>>> = versions
+        .iter()
+        .map(|(bytes, _, _)| {
+            let mut r = ArchiveReader::open(bytes.as_slice()).expect("local open");
+            r.decode_variable("T").expect("local decode")
+        })
+        .collect();
+    assert_ne!(references[0], references[1], "the two versions must differ");
+
+    let server = Server::start(ServerConfig {
+        archive_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.addr().to_string();
+    Client::connect(&addr).expect("connect").archive_put("run1", &versions[0].0).expect("put");
+
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(2);
+    let fetches = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut client = Client::connect(&addr).expect("connect");
+            start.wait();
+            for i in 1..=PUTS {
+                client.archive_put("run1", &versions[i % 2].0).expect("put");
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        let mut client = Client::connect(&addr).expect("connect");
+        let mut fetches = 0usize;
+        start.wait();
+        while !done.load(Ordering::SeqCst) {
+            let (t, lev) = (fetches % NSLICES, fetches % layout.nlev);
+            let slice = client
+                .fetch_slice("run1", "T", t as u32, lev as u32)
+                .unwrap_or_else(|e| panic!("fetch beside a put failed: {e:?}"));
+            let bits: Vec<u32> = slice.iter().map(|v| v.to_bits()).collect();
+            let matches = references.iter().any(|frames| {
+                let expect = &frames[t][lev * layout.npts..(lev + 1) * layout.npts];
+                expect.iter().map(|v| v.to_bits()).eq(bits.iter().copied())
+            });
+            assert!(matches, "slice (t={t}, lev={lev}) matches neither stored version");
+            fetches += 1;
+        }
+        fetches
+    });
+    assert!(fetches > 0, "no fetch overlapped the puts");
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list archive dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .filter(|name| name != "run1.ccarch")
+        .collect();
+    assert!(leftovers.is_empty(), "temporary files left behind: {leftovers:?}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn archive_error_paths_come_back_typed() {
     let dir = temp_archive_dir("errors");
-    let (bytes, _, _) = build_archive(8);
+    let (bytes, _, _) = build_archive(8, 0);
     let server = Server::start(ServerConfig {
         archive_dir: Some(dir.clone()),
         ..ServerConfig::default()
@@ -127,7 +194,7 @@ fn archive_error_paths_come_back_typed() {
 
 #[test]
 fn archive_ops_require_a_configured_directory() {
-    let (bytes, _, _) = build_archive(8);
+    let (bytes, _, _) = build_archive(8, 0);
     let server = Server::start(ServerConfig::default()).expect("bind loopback");
     let mut client = Client::connect(&server.addr().to_string()).expect("connect");
     match client.archive_put("run1", &bytes) {

@@ -203,6 +203,45 @@ fn deflate_decode_is_total() {
     });
 }
 
+/// Literal-heavy payload with a skewed 256-symbol distribution, like the
+/// archive's delta-frame bodies: mostly small values, plus a thin uniform
+/// tail whose rare bytes get literal codes longer than the decoder's root
+/// table, so decoding goes through its subtables.
+fn skewed_payload(n: usize) -> Vec<u8> {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    (0..n)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let r = state >> 16;
+            if r.is_multiple_of(32) {
+                (r >> 8) as u8
+            } else {
+                ((r >> 8).trailing_zeros() as u8) << 1 | (r >> 5 & 1) as u8
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn deflate_long_codes_decode_is_total() {
+    use cc_lossless::bitio::BitReader;
+    use cc_lossless::huffman::ROOT_BITS;
+    let payload = skewed_payload(64 << 10);
+    let stream = cc_lossless::compress(&payload, cc_lossless::Level::Default);
+    // The first block must be a Huffman block with literal codes past the
+    // root table: 64-bit length, final and kind bits, 286 4-bit lengths.
+    let mut r = BitReader::new(&stream);
+    r.read_bits(32).unwrap();
+    r.read_bits(32).unwrap();
+    r.read_bit().unwrap();
+    assert!(r.read_bit().unwrap(), "skewed payload must take a Huffman block");
+    let longest = (0..286).map(|_| r.read_bits(4).unwrap() as u32).max().unwrap();
+    assert!(longest > ROOT_BITS, "longest literal code {longest} fits the root table");
+    fuzz_decoder("cc-lossless/deflate-long-codes", payload.len(), &stream, &|bytes| {
+        let _ = cc_lossless::decompress(bytes);
+    });
+}
+
 #[test]
 fn bwt_decode_is_total() {
     let payload = byte_payload(64 << 10);
