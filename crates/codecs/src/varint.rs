@@ -45,7 +45,7 @@ pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
 /// (honest tokens are `zigzag(|q| ≤ 2^30) + 1`).
 #[inline]
 pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
-    // Single-byte tokens (|q| ≤ 31) are the common case in smooth fields.
+    // Single-byte tokens (|q| ≤ 63) are the common case in smooth fields.
     if let Some(&b) = bytes.get(*pos) {
         if b < 0x80 {
             *pos += 1;

@@ -1091,7 +1091,8 @@ fn archive_err(e: ArchiveError) -> (ErrCode, String) {
 /// parsed (footer, index, chain invariants) *before* anything touches
 /// disk, and the store replaces the old file atomically, so the archive
 /// directory only ever holds well-formed files: a concurrent fetch reads
-/// the old version or the new one, and a failed put leaves the old one.
+/// the old version or the new one, and a put that fails before its
+/// rename leaves the old one.
 fn handle_archive_put(payload: &[u8], shared: &Shared) -> Result<Vec<u8>, (ErrCode, String)> {
     let req = ArchivePutRequest::decode(payload)
         .map_err(|_| (ErrCode::BadPayload, "malformed ArchivePut payload".into()))?;
