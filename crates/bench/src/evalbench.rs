@@ -102,13 +102,14 @@ pub fn run(eval: &Evaluation, vars: &[usize], preset: &str) -> EvalArtifact {
         })
         .collect();
     stages.sort_by(|a, b| b.self_ms.total_cmp(&a.self_ms).then(a.name.cmp(&b.name)));
-    stages.truncate(16);
-
+    // Read the synthesis rate before truncating: on a small sweep member
+    // synthesis can rank below the sixteen largest stages.
     let synth = stages.iter().find(|s| s.name == "eval.member_synth");
     let synth_members_per_s = synth
         .filter(|s| s.self_ms > 0.0)
         .map(|s| s.calls as f64 / (s.self_ms / 1e3))
         .unwrap_or(0.0);
+    stages.truncate(16);
     let verdicts: usize = tuned.iter().map(|t| t.candidates).sum();
     let verdicts_per_s =
         if total_wall > 0.0 { verdicts as f64 / total_wall } else { 0.0 };
@@ -218,11 +219,21 @@ mod tests {
     use cc_grid::Resolution;
     use cc_model::Model;
 
+    /// `run` flips the process-wide span gate and restores it on return,
+    /// so two overlapping calls would switch spans off under each other's
+    /// sweeps. The tests here take turns.
+    static SPAN_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn run_quick(eval: &Evaluation, vars: &[usize]) -> EvalArtifact {
+        let _gate = SPAN_GATE.lock().unwrap_or_else(|p| p.into_inner());
+        run(eval, vars, "quick")
+    }
+
     fn tiny_artifact() -> EvalArtifact {
         let model = Model::new(Resolution::reduced(2, 2), 13);
         let eval = Evaluation::new(model, EvalConfig::quick(9));
         let vars = vec![eval.model.var_id("U").unwrap()];
-        run(&eval, &vars, "quick")
+        run_quick(&eval, &vars)
     }
 
     #[test]
@@ -285,7 +296,7 @@ mod tests {
             &mut |_| {},
         );
         let with_tune = tune.merge_into_bench(&base.to_json()).expect("tune merge");
-        let artifact = run(&eval, &vars, "quick");
+        let artifact = run_quick(&eval, &vars);
         let merged = artifact.merge_into_bench(&with_tune).expect("eval merge");
         let doc = json::parse(&merged).unwrap();
         assert_eq!(
