@@ -267,7 +267,7 @@ impl<'a> BitReader<'a> {
     /// zero, so a table lookup over the low bits is always well defined.
     /// Pair with [`Self::consume_bits`].
     #[inline]
-    pub fn peek_bits(&mut self, n: u32) -> (u64, u32) {
+    pub(crate) fn peek_bits(&mut self, n: u32) -> (u64, u32) {
         debug_assert!(n <= 57);
         if self.nbits < n {
             self.refill();
@@ -277,7 +277,7 @@ impl<'a> BitReader<'a> {
 
     /// Drop `n` bits that a [`Self::peek_bits`] call reported available.
     #[inline]
-    pub fn consume_bits(&mut self, n: u32) {
+    pub(crate) fn consume_bits(&mut self, n: u32) {
         debug_assert!(n <= self.nbits && n < 64, "consume past the peeked bits");
         self.acc >>= n;
         self.nbits -= n;

@@ -268,7 +268,7 @@ impl Decoder {
     /// consuming anything. A code longer than `avail` matched the zero
     /// padding, so it is a truncated stream, not a symbol.
     #[inline]
-    pub fn decode_bits(&self, bits: u64, avail: u32) -> Result<(usize, u32), Error> {
+    pub(crate) fn decode_bits(&self, bits: u64, avail: u32) -> Result<(usize, u32), Error> {
         let mut e = self.root[bits as usize & ROOT_MASK];
         if e & LINK != 0 {
             let idx = (bits >> ROOT_BITS) as usize & ((1 << (e & LEN_MASK)) - 1);
