@@ -8,11 +8,10 @@
 //! cost of the footer index (p50/p99 slice-fetch latency over seeded
 //! random (timestep, level) picks at 100+ timesteps).
 //!
-//! The results serialize to an `archive` JSON section and append to an
-//! existing `BENCH.json` document, bumping the schema additively to
-//! `cc-bench-throughput/8` — the same artifact plumbing `serve_bench`,
-//! `tune`, and `evalbench` use. The merged document is re-validated
-//! before being returned.
+//! The results serialize to an `archive` JSON section, which `repro
+//! archive-bench` sets on an existing `BENCH.json` document through
+//! [`crate::throughput::merge_section`] — the same artifact plumbing
+//! `serve_bench`, `tune`, and `evalbench` use.
 
 use cc_archive::{ArchiveOptions, ArchiveReader, ArchiveWriter};
 use cc_codecs::chunked::compress_chunked;
@@ -212,23 +211,6 @@ impl ArchiveBenchArtifact {
         );
         json::parse(&text).expect("archive section serializes to valid JSON")
     }
-
-    /// Merge this artifact into an existing `BENCH.json` document: set
-    /// the `archive` section and bump the schema to
-    /// `cc-bench-throughput/8` (earlier sections — serve, tune, eval —
-    /// ride along unchanged). Returns the re-validated document.
-    pub fn merge_into_bench(&self, bench_text: &str) -> Result<String, Vec<String>> {
-        let mut doc = json::parse(bench_text)
-            .map_err(|e| vec![format!("existing BENCH.json is not valid JSON: {e}")])?;
-        if doc.get("schema").and_then(Value::as_str).is_none() {
-            return Err(vec!["existing BENCH.json has no schema field".into()]);
-        }
-        doc.set("schema", Value::Str("cc-bench-throughput/8".into()));
-        doc.set("archive", self.to_value());
-        let merged = doc.to_json();
-        crate::throughput::validate(&merged)?;
-        Ok(merged)
-    }
 }
 
 #[cfg(test)]
@@ -263,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn archive_section_merges_into_bench_as_v8() {
+    fn archive_section_merges_into_bench() {
         let artifact = run(&tiny_config(), &mut |_| {});
         let base = crate::throughput::run(
             &crate::throughput::BenchConfig {
@@ -275,13 +257,10 @@ mod tests {
             },
             &mut |_| {},
         );
-        let merged = artifact.merge_into_bench(&base.to_json()).expect("merge");
-        crate::throughput::validate(&merged).expect("merged document is /8-valid");
+        let merged =
+            crate::throughput::merge_section(&base.to_json(), "archive", artifact.to_value())
+                .expect("merge");
         let doc = json::parse(&merged).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("cc-bench-throughput/8")
-        );
         let vars = doc
             .get("archive")
             .and_then(|a| a.get("variables"))
@@ -289,8 +268,5 @@ mod tests {
             .expect("archive.variables");
         assert_eq!(vars.len(), 1);
         assert_eq!(vars[0].get("name").and_then(Value::as_str), Some("U"));
-
-        // A schema-less document refuses the merge.
-        assert!(artifact.merge_into_bench("{}").is_err());
     }
 }

@@ -26,27 +26,25 @@
 //! `repro run table6 --trace trace.json` works verbatim.
 //!
 //! `bench` runs the chunked-codec throughput sweep and writes the
-//! schema'd `BENCH.json` (validated before the process exits);
-//! `serve-bench` drives a loopback `cc-serve` daemon with swept counts
-//! of concurrent pipelined clients and appends a `serve` section
-//! (req/s, p50/p99/p999 latency from the server's own histograms —
-//! overall and split per opcode — busy rate per client count) to that
-//! document, bumping its schema additively to `cc-bench-throughput/6`;
-//! `tune` runs the per-variable auto-tuner — the generalized
+//! `cc-bench-throughput/8` `BENCH.json` (validated before the process
+//! exits); the next four commands each set one section of that document
+//! and re-validate it. `serve-bench` drives a loopback `cc-serve` daemon
+//! with swept counts of concurrent pipelined clients and appends a
+//! `serve` section (req/s, p50/p99/p999 latency from the server's own
+//! histograms — overall and split per opcode — busy rate per client
+//! count); `tune` runs the per-variable auto-tuner — the generalized
 //! enumerate-filter-minimize search over the (family × parameter)
 //! candidate space — over the focus variables, writes a reproducible
-//! table artifact, and appends a `tune` section to that document,
-//! bumping the schema additively to `cc-bench-throughput/5`;
-//! `eval-bench` runs the same sweep through the pipelined verification
-//! engine with span recording on and appends an `eval` section (member
-//! synthesis and verdict rates, per-variable tune wall, per-stage
-//! self-time profile), bumping the schema to `cc-bench-throughput/7`;
+//! table artifact, and appends a `tune` section; `eval-bench` runs the
+//! same sweep through the pipelined verification engine with span
+//! recording on and appends an `eval` section (member synthesis and
+//! verdict rates, per-variable tune wall, per-stage self-time profile);
 //! `eval-check` re-runs the sweep at worker counts 1 and 4 and exits
 //! non-zero unless the tune reports are byte-identical;
 //! `archive-bench` archives a correlated model run per focus variable
 //! (`cc-arch/1` keyframes + bounded delta frames) and appends an
 //! `archive` section (archive CR vs per-timestep CR, random-slice
-//! p50/p99 fetch latency), bumping the schema to `cc-bench-throughput/8`;
+//! p50/p99 fetch latency);
 //! `bench-check FILE` re-validates an existing artifact and exits
 //! non-zero if it does not satisfy the schema — with `--against
 //! BASELINE.json` it additionally compares single-worker throughput per
@@ -226,6 +224,30 @@ fn run_bench(opts: &BenchOpts) {
     );
 }
 
+/// Read the existing `BENCH.json` that `cmd` appends a section to.
+fn read_bench(opts: &BenchOpts, cmd: &str) -> String {
+    std::fs::read_to_string(&opts.path).unwrap_or_else(|e| {
+        eprintln!(
+            "cannot read {}: {e}\n{cmd} appends to an existing artifact — run `repro bench` first",
+            opts.path.display()
+        );
+        std::process::exit(1);
+    })
+}
+
+/// Set section `key` of the `BENCH.json` text `base` and write the
+/// re-validated document back to `opts.path`.
+fn write_section(opts: &BenchOpts, base: &str, key: &str, section: cc_obs::json::Value) {
+    let merged = cc_bench::throughput::merge_section(base, key, section).unwrap_or_else(|errs| {
+        eprintln!("cannot append {key} section to {}:", opts.path.display());
+        for e in errs {
+            eprintln!("  - {e}");
+        }
+        std::process::exit(1);
+    });
+    std::fs::write(&opts.path, &merged).expect("write BENCH.json");
+}
+
 /// `serve-bench`: loopback daemon throughput, appended to `BENCH.json`.
 fn run_serve_bench(opts: &BenchOpts) {
     let config = if opts.quick {
@@ -233,22 +255,9 @@ fn run_serve_bench(opts: &BenchOpts) {
     } else {
         cc_bench::serve_bench::ServeBenchConfig::default_scale()
     };
-    let base = std::fs::read_to_string(&opts.path).unwrap_or_else(|e| {
-        eprintln!(
-            "cannot read {}: {e}\nserve-bench appends to an existing artifact — run `repro bench` first",
-            opts.path.display()
-        );
-        std::process::exit(1);
-    });
+    let base = read_bench(opts, "serve-bench");
     let report = cc_bench::serve_bench::run(&config, &mut |line| progress!("    {line}"));
-    let merged = report.merge_into_bench(&base).unwrap_or_else(|errs| {
-        eprintln!("cannot append serve section to {}:", opts.path.display());
-        for e in errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
-    });
-    std::fs::write(&opts.path, &merged).expect("write BENCH.json");
+    write_section(opts, &base, "serve", report.to_value());
     for r in &report.runs {
         println!(
             "serve workers={:<2} clients={:<4} {:>8.0} req/s  p50 {:>6}us  p99 {:>6}us  p999 {:>6}us  busy rate {:.3}",
@@ -262,7 +271,7 @@ fn run_serve_bench(opts: &BenchOpts) {
         }
     }
     println!(
-        "appended serve section to {} (shards {}, clients {:?} x {} requests, schema cc-bench-throughput/6)",
+        "appended serve section to {} (shards {}, clients {:?} x {} requests)",
         opts.path.display(),
         config.shards,
         config.client_counts,
@@ -272,29 +281,16 @@ fn run_serve_bench(opts: &BenchOpts) {
 
 /// `archive-bench`: temporal-archive CR vs the per-timestep workflow
 /// plus random-slice latency, appended to `BENCH.json` as the
-/// `archive` section (schema bumps to `cc-bench-throughput/8`).
+/// `archive` section.
 fn run_archive_bench(opts: &BenchOpts) {
     let config = if opts.quick {
         cc_bench::archive_bench::ArchiveBenchConfig::quick()
     } else {
         cc_bench::archive_bench::ArchiveBenchConfig::default_scale()
     };
-    let base = std::fs::read_to_string(&opts.path).unwrap_or_else(|e| {
-        eprintln!(
-            "cannot read {}: {e}\narchive-bench appends to an existing artifact — run `repro bench` first",
-            opts.path.display()
-        );
-        std::process::exit(1);
-    });
+    let base = read_bench(opts, "archive-bench");
     let artifact = cc_bench::archive_bench::run(&config, &mut |line| progress!("    {line}"));
-    let merged = artifact.merge_into_bench(&base).unwrap_or_else(|errs| {
-        eprintln!("cannot append archive section to {}:", opts.path.display());
-        for e in errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
-    });
-    std::fs::write(&opts.path, &merged).expect("write BENCH.json");
+    write_section(opts, &base, "archive", artifact.to_value());
     for v in &artifact.variables {
         println!(
             "{:8} {:>4} frames  archive CR {:.4}  per-timestep CR {:.4}  slice p50 {:>5}us  p99 {:>5}us",
@@ -302,7 +298,7 @@ fn run_archive_bench(opts: &BenchOpts) {
         );
     }
     println!(
-        "appended archive section to {} ({} variables, {} timesteps, keyframe every {}, schema cc-bench-throughput/8)",
+        "appended archive section to {} ({} variables, {} timesteps, keyframe every {})",
         opts.path.display(),
         artifact.variables.len(),
         config.timesteps,
@@ -419,7 +415,7 @@ fn parse_args() -> (Vec<String>, RunConfig, BenchOpts, ObsOpts) {
             "--out" => cfg.out_dir = next_val(&mut args).into(),
             "--workers" => {
                 let w: usize = next_val(&mut args).parse().expect("--workers N");
-                cc_core::par::set_global_workers(w);
+                cc_par::set_global_workers(w);
             }
             "--bench-out" => bench.path = next_val(&mut args).into(),
             "--against" => bench.against = Some(next_val(&mut args).into()),
@@ -1091,31 +1087,15 @@ impl Runner {
             eprintln!("tuner invariant violated (failing choice or CR worse than hybrid)");
             std::process::exit(1);
         }
-        let base = std::fs::read_to_string(&opts.path).unwrap_or_else(|e| {
-            eprintln!(
-                "cannot read {}: {e}\ntune appends to an existing artifact — run `repro bench` first",
-                opts.path.display()
-            );
-            std::process::exit(1);
-        });
+        let base = read_bench(opts, "tune");
         let nvars = report.variables.len();
         let artifact = cc_bench::tune::TuneArtifact { preset: preset.into(), report };
-        let merged = artifact.merge_into_bench(&base).unwrap_or_else(|errs| {
-            eprintln!("cannot append tune section to {}:", opts.path.display());
-            for e in errs {
-                eprintln!("  - {e}");
-            }
-            std::process::exit(1);
-        });
-        std::fs::write(&opts.path, &merged).expect("write BENCH.json");
-        println!(
-            "appended tune section to {} ({nvars} variables, schema cc-bench-throughput/5)",
-            opts.path.display()
-        );
+        write_section(opts, &base, "tune", artifact.to_value());
+        println!("appended tune section to {} ({nvars} variables)", opts.path.display());
     }
 
     /// `eval-bench`: verification-engine throughput over the focus
-    /// variables, appended to `BENCH.json` as the `/7` `eval` section.
+    /// variables, appended to `BENCH.json` as the `eval` section.
     fn eval_bench(&mut self, opts: &BenchOpts) {
         let preset = if opts.quick { "quick" } else { "default" };
         let artifact = {
@@ -1149,23 +1129,10 @@ impl Runner {
         for s in artifact.stages.iter().take(8) {
             println!("      {:24} {:>7} calls  {:>10.1} ms self", s.name, s.calls, s.self_ms);
         }
-        let base = std::fs::read_to_string(&opts.path).unwrap_or_else(|e| {
-            eprintln!(
-                "cannot read {}: {e}\neval-bench appends to an existing artifact — run `repro bench` first",
-                opts.path.display()
-            );
-            std::process::exit(1);
-        });
-        let merged = artifact.merge_into_bench(&base).unwrap_or_else(|errs| {
-            eprintln!("cannot append eval section to {}:", opts.path.display());
-            for e in errs {
-                eprintln!("  - {e}");
-            }
-            std::process::exit(1);
-        });
-        std::fs::write(&opts.path, &merged).expect("write BENCH.json");
+        let base = read_bench(opts, "eval-bench");
+        write_section(opts, &base, "eval", artifact.to_value());
         println!(
-            "appended eval section to {} ({} variables, schema cc-bench-throughput/7)",
+            "appended eval section to {} ({} variables)",
             opts.path.display(),
             artifact.variables.len()
         );

@@ -4,11 +4,9 @@
 //! driver (`Evaluation::map_contexts` + the batched candidate sweep)
 //! with span recording forced on, and distills the trace into an `eval`
 //! JSON section: member-synthesis and verdict rates, per-variable tune
-//! wall time, and the per-stage self-time profile. Appending the section
-//! to an existing `BENCH.json` bumps the schema additively to
-//! `cc-bench-throughput/7`; serve and tune sections of either shape ride
-//! along unchanged. The merged document is re-validated before being
-//! returned.
+//! wall time, and the per-stage self-time profile. `repro eval-bench`
+//! sets the section on an existing `BENCH.json` document through
+//! [`crate::throughput::merge_section`].
 //!
 //! Unlike the `tune` section, the rates here are wall-clock measurements
 //! and vary run to run — `bench-check --against` holds them to the same
@@ -140,8 +138,8 @@ impl EvalArtifact {
             .iter()
             .map(|v| {
                 format!(
-                    "{{\"name\": {}, \"tune_wall_s\": {:.6}}}",
-                    json_str(&v.name),
+                    "{{\"name\": \"{}\", \"tune_wall_s\": {:.6}}}",
+                    json::escape(&v.name),
                     v.tune_wall_s
                 )
             })
@@ -151,18 +149,18 @@ impl EvalArtifact {
             .iter()
             .map(|s| {
                 format!(
-                    "{{\"name\": {}, \"calls\": {}, \"self_ms\": {:.3}}}",
-                    json_str(&s.name),
+                    "{{\"name\": \"{}\", \"calls\": {}, \"self_ms\": {:.3}}}",
+                    json::escape(&s.name),
                     s.calls,
                     s.self_ms
                 )
             })
             .collect();
         let text = format!(
-            "{{\"preset\": {}, \"workers\": {}, \"members\": {}, \
+            "{{\"preset\": \"{}\", \"workers\": {}, \"members\": {}, \
              \"synth_members_per_s\": {:.3}, \"verdicts_per_s\": {:.3}, \
              \"tune_wall_s\": {:.6}, \"variables\": [{}], \"stages\": [{}]}}",
-            json_str(&self.preset),
+            json::escape(&self.preset),
             self.workers,
             self.members,
             self.synth_members_per_s,
@@ -173,43 +171,6 @@ impl EvalArtifact {
         );
         json::parse(&text).expect("eval section serializes to valid JSON")
     }
-
-    /// Merge the section into an existing `BENCH.json` document: set the
-    /// `eval` section and bump the schema additively to
-    /// `cc-bench-throughput/7` (serve and tune sections ride along; the
-    /// `/7` validator accepts either serve shape). Returns the
-    /// re-validated document.
-    pub fn merge_into_bench(&self, bench_text: &str) -> Result<String, Vec<String>> {
-        let mut doc = json::parse(bench_text)
-            .map_err(|e| vec![format!("existing BENCH.json is not valid JSON: {e}")])?;
-        let Some(schema) = doc.get("schema").and_then(Value::as_str) else {
-            return Err(vec!["existing BENCH.json has no schema field".into()]);
-        };
-        if schema != "cc-bench-throughput/8" {
-            doc.set("schema", Value::Str("cc-bench-throughput/7".into()));
-        }
-        doc.set("eval", self.to_value());
-        let merged = doc.to_json();
-        crate::throughput::validate(&merged)?;
-        Ok(merged)
-    }
-}
-
-/// Minimal JSON string encoding (same contract as `tune::json_str`).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -237,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_section_merges_into_bench_as_v7() {
+    fn eval_section_merges_into_bench() {
         let artifact = tiny_artifact();
         assert!(artifact.synth_members_per_s > 0.0, "no synthesis rate measured");
         assert!(artifact.verdicts_per_s > 0.0);
@@ -258,60 +219,15 @@ mod tests {
             },
             &mut |_| {},
         );
-        let merged = artifact.merge_into_bench(&base.to_json()).expect("merge");
+        let merged = crate::throughput::merge_section(&base.to_json(), "eval", artifact.to_value())
+            .expect("merge");
         let doc = json::parse(&merged).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("cc-bench-throughput/7")
-        );
         let stages = doc
             .get("eval")
             .and_then(|e| e.get("stages"))
             .and_then(Value::as_array)
             .expect("eval.stages");
         assert!(!stages.is_empty());
-
-        // A schema-less document refuses the merge.
-        assert!(artifact.merge_into_bench("{}").is_err());
-    }
-
-    #[test]
-    fn tune_section_rides_along_on_v7() {
-        // eval appended after tune keeps both sections valid at /7.
-        let model = Model::new(Resolution::reduced(2, 2), 13);
-        let eval = Evaluation::new(model, EvalConfig::quick(9));
-        let vars = vec![eval.model.var_id("U").unwrap()];
-        let tune = crate::tune::TuneArtifact {
-            preset: "quick".into(),
-            report: TuneReport::build(&eval, &vars),
-        };
-        let base = crate::throughput::run(
-            &crate::throughput::BenchConfig {
-                npts: 2_048,
-                nlev: 1,
-                worker_counts: vec![1, 2],
-                reps: 1,
-                preset: "quick".into(),
-            },
-            &mut |_| {},
-        );
-        let with_tune = tune.merge_into_bench(&base.to_json()).expect("tune merge");
-        let artifact = run_quick(&eval, &vars);
-        let merged = artifact.merge_into_bench(&with_tune).expect("eval merge");
-        let doc = json::parse(&merged).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("cc-bench-throughput/7")
-        );
-        assert!(doc.get("tune").is_some() && doc.get("eval").is_some());
-
-        // And tune merged *after* eval preserves the /7 level.
-        let reversed = tune.merge_into_bench(&merged).expect("tune onto /7");
-        let doc = json::parse(&reversed).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("cc-bench-throughput/7")
-        );
     }
 
     #[test]
@@ -327,7 +243,8 @@ mod tests {
             },
             &mut |_| {},
         );
-        let merged = artifact.merge_into_bench(&base.to_json()).expect("merge");
+        let merged = crate::throughput::merge_section(&base.to_json(), "eval", artifact.to_value())
+            .expect("merge");
         // Same document on both sides: everything passes.
         let rows = crate::throughput::compare_eval(&merged, &merged, 0.25)
             .expect("both documents carry eval sections");

@@ -8,8 +8,8 @@
 //! exports; percentiles are conservative bucket upper bounds via
 //! [`cc_obs::percentile_upper_bound`]). Each run also reports the
 //! per-opcode latency split from the `serve.req_us.{op}` histograms.
-//! The result merges into an existing `BENCH.json` as a `serve`
-//! section, bumping the schema additively to `cc-bench-throughput/6`
+//! `repro serve-bench` sets the result as the `serve` section of an
+//! existing `BENCH.json` through [`crate::throughput::merge_section`]
 //! (see [`crate::throughput`] for the base document).
 //!
 //! ```json
@@ -290,26 +290,6 @@ impl ServeBenchReport {
         );
         json::parse(&text).expect("serve section serializes to valid JSON")
     }
-
-    /// Merge this report into an existing `BENCH.json` document: set the
-    /// `serve` section and bump the schema to `cc-bench-throughput/6`.
-    /// The result is re-validated before being returned, so a document
-    /// that cannot legally carry the section (e.g. a pre-telemetry `/1`
-    /// artifact) errors instead of producing an invalid file.
-    pub fn merge_into_bench(&self, bench_text: &str) -> Result<String, Vec<String>> {
-        let mut doc = json::parse(bench_text)
-            .map_err(|e| vec![format!("existing BENCH.json is not valid JSON: {e}")])?;
-        let Some(schema) = doc.get("schema").and_then(Value::as_str) else {
-            return Err(vec!["existing BENCH.json has no schema field".into()]);
-        };
-        if schema != "cc-bench-throughput/7" && schema != "cc-bench-throughput/8" {
-            doc.set("schema", Value::Str("cc-bench-throughput/6".into()));
-        }
-        doc.set("serve", self.to_value());
-        let merged = doc.to_json();
-        crate::throughput::validate(&merged)?;
-        Ok(merged)
-    }
 }
 
 #[cfg(test)]
@@ -343,7 +323,7 @@ mod tests {
             assert!(comp.p99_us >= comp.p50_us && comp.p999_us >= comp.p99_us);
         }
 
-        // Merging into a fresh /2 document yields a valid /4 one.
+        // The section merges into a fresh base document.
         let base = crate::throughput::run(
             &crate::throughput::BenchConfig {
                 npts: 2_048,
@@ -354,13 +334,9 @@ mod tests {
             },
             &mut |_| {},
         );
-        let merged = report.merge_into_bench(&base.to_json()).expect("merge");
-        crate::throughput::validate(&merged).expect("merged document is /6-valid");
+        let merged = crate::throughput::merge_section(&base.to_json(), "serve", report.to_value())
+            .expect("merge");
         let doc = json::parse(&merged).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("cc-bench-throughput/6")
-        );
         assert_eq!(
             doc.get("serve").and_then(|s| s.get("runs")).and_then(Value::as_array).map(|a| a.len()),
             Some(2)
@@ -372,8 +348,5 @@ mod tests {
                 .map(|a| a.len()),
             Some(1)
         );
-
-        // A schema-less document refuses the merge.
-        assert!(report.merge_into_bench("{}").is_err());
     }
 }

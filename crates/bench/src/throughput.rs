@@ -7,11 +7,11 @@
 //! codec. Results serialize to the schema'd `BENCH.json` at the repo
 //! root — the performance trajectory later PRs append to.
 //!
-//! # `BENCH.json` schema (`cc-bench-throughput/2`)
+//! # `BENCH.json` schema (`cc-bench-throughput/8`)
 //!
 //! ```json
 //! {
-//!   "schema": "cc-bench-throughput/2",
+//!   "schema": "cc-bench-throughput/8",
 //!   "preset": "default" | "quick",
 //!   "field": {"npts": N, "nlev": N, "elems": N, "bytes": N},
 //!   "chunks": N,
@@ -30,7 +30,8 @@
 //!       }
 //!     }, ...
 //!   ],
-//!   "max_encode_speedup": 1.9
+//!   "max_encode_speedup": 1.9,
+//!   "serve": {...}, "tune": {...}, "eval": {...}, "archive": {...}
 //! }
 //! ```
 //!
@@ -40,13 +41,15 @@
 //! over codecs. `telemetry` is the delta of the per-codec `cc-obs` byte
 //! counters across the sweep — the counters are process-wide, so the
 //! deltas are lower-bounded by this run's traffic rather than exactly
-//! equal to it when other work shares the process. [`validate`]
-//! machine-checks all of this via the minimal JSON parser in
-//! [`mod@json`], so CI can reject malformed artifacts; it accepts the
-//! pre-telemetry `cc-bench-throughput/1` documents too, and the
-//! `cc-bench-throughput/3` and `/4` documents produced when `repro
-//! serve-bench` appends its `serve` section (`/4` sweeps client counts
-//! and adds p999; see [`crate::serve_bench`]).
+//! equal to it when other work shares the process.
+//!
+//! `repro bench` writes the base document; `serve-bench`, `tune`,
+//! `eval-bench` and `archive-bench` each set one optional section
+//! through [`merge_section`] (see [`crate::serve_bench`],
+//! [`crate::tune`], [`crate::evalbench`], [`crate::archive_bench`]).
+//! [`validate`] machine-checks the base document and every section that
+//! is present via the minimal JSON parser in [`mod@json`], so CI can
+//! reject malformed artifacts.
 
 pub use cc_obs::json;
 
@@ -305,7 +308,7 @@ impl BenchReport {
         self.codecs.iter().map(|c| c.encode_speedup()).fold(0.0, f64::max)
     }
 
-    /// Serialize to the `cc-bench-throughput/2` JSON document.
+    /// Serialize to the base [`SCHEMA`] JSON document.
     pub fn to_json(&self) -> String {
         let timing_arr = |ts: &[Timing]| -> String {
             let items: Vec<String> = ts
@@ -321,7 +324,7 @@ impl BenchReport {
         };
         let mut s = String::new();
         s.push_str("{\n");
-        s.push_str("  \"schema\": \"cc-bench-throughput/2\",\n");
+        s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
         s.push_str(&format!("  \"preset\": \"{}\",\n", self.config.preset));
         s.push_str(&format!(
             "  \"field\": {{\"npts\": {}, \"nlev\": {}, \"elems\": {}, \"bytes\": {}}},\n",
@@ -380,19 +383,25 @@ impl BenchReport {
     }
 }
 
-/// Validate a `BENCH.json` document against the
-/// `cc-bench-throughput/8` schema. Earlier schema levels are accepted
-/// additively: `/1` documents need no `telemetry` sections, `/1` and
-/// `/2` documents need no `serve` section (that section is appended by
-/// `repro serve-bench`, which also bumps the declared schema — to `/3`
-/// historically, `/4` since the reactor server's client-count sweep,
-/// `/6` since the per-opcode latency split), `/5` adds the `tune`
-/// section, `/7` adds the `eval` section (verification-engine
-/// throughput, appended by `repro eval-bench`; serve and tune sections
-/// of either shape ride along), and `/8` adds the `archive` section
-/// (temporal-archive CR vs per-timestep CR plus random-slice latency,
-/// appended by `repro archive-bench`; serve, tune, and eval sections
-/// ride along). Returns every violation found.
+/// The one schema [`validate`] accepts.
+pub const SCHEMA: &str = "cc-bench-throughput/8";
+
+/// A section validator: appends every violation it finds.
+type SectionCheck = fn(&mut Vec<String>, &json::Value);
+
+/// The optional sections and their validators, each run whenever its
+/// section is present.
+const SECTIONS: [(&str, SectionCheck); 4] = [
+    ("serve", validate_serve),
+    ("tune", validate_tune),
+    ("eval", validate_eval),
+    ("archive", validate_archive),
+];
+
+/// Validate a `BENCH.json` document against [`SCHEMA`]: the base
+/// throughput document (per-codec `telemetry` included) is required, and
+/// each of the `serve`, `tune`, `eval` and `archive` sections is checked
+/// when present. Returns every violation found.
 pub fn validate(text: &str) -> Result<(), Vec<String>> {
     let doc = match json::parse(text) {
         Ok(v) => v,
@@ -405,89 +414,14 @@ pub fn validate(text: &str) -> Result<(), Vec<String>> {
         }
     }
 
-    let schema = doc.get("schema").and_then(json::Value::as_str);
-    let telemetry_required = matches!(
-        schema,
-        Some("cc-bench-throughput/2")
-            | Some("cc-bench-throughput/3")
-            | Some("cc-bench-throughput/4")
-            | Some("cc-bench-throughput/5")
-            | Some("cc-bench-throughput/6")
-            | Some("cc-bench-throughput/7")
-            | Some("cc-bench-throughput/8")
-    );
     check(
         &mut errs,
-        matches!(
-            schema,
-            Some("cc-bench-throughput/1")
-                | Some("cc-bench-throughput/2")
-                | Some("cc-bench-throughput/3")
-                | Some("cc-bench-throughput/4")
-                | Some("cc-bench-throughput/5")
-                | Some("cc-bench-throughput/6")
-                | Some("cc-bench-throughput/7")
-                | Some("cc-bench-throughput/8")
-        ),
-        "schema must be \"cc-bench-throughput/1\" through \"/8\"",
+        doc.get("schema").and_then(json::Value::as_str) == Some(SCHEMA),
+        &format!("schema must be \"{SCHEMA}\""),
     );
-    if schema == Some("cc-bench-throughput/3") {
-        validate_serve(&mut errs, doc.get("serve"), false, false);
-    } else if schema == Some("cc-bench-throughput/4") {
-        validate_serve(&mut errs, doc.get("serve"), true, false);
-    } else if schema == Some("cc-bench-throughput/5") {
-        // `/5` adds the required auto-tuning section; an earlier serve
-        // section (either shape) may ride along and is still checked.
-        if let Some(serve) = doc.get("serve") {
-            let v4 = serve.get("client_counts").is_some();
-            validate_serve(&mut errs, Some(serve), v4, false);
-        }
-        validate_tune(&mut errs, doc.get("tune"));
-    } else if schema == Some("cc-bench-throughput/6") {
-        // `/6` requires the per-opcode latency split in the serve
-        // section; a tune section may ride along and is still checked.
-        validate_serve(&mut errs, doc.get("serve"), true, true);
-        if doc.get("tune").is_some() {
-            validate_tune(&mut errs, doc.get("tune"));
-        }
-    } else if schema == Some("cc-bench-throughput/7") {
-        // `/7` adds the required verification-engine section; serve and
-        // tune sections of either shape may ride along and are still
-        // checked (the serve shape is sniffed from its own keys).
-        validate_eval(&mut errs, doc.get("eval"));
-        if let Some(serve) = doc.get("serve") {
-            let v4 = serve.get("client_counts").is_some();
-            let v6 = serve
-                .get("runs")
-                .and_then(json::Value::as_array)
-                .and_then(|a| a.first())
-                .map(|r| r.get("per_op").is_some())
-                == Some(true);
-            validate_serve(&mut errs, Some(serve), v4, v6);
-        }
-        if doc.get("tune").is_some() {
-            validate_tune(&mut errs, doc.get("tune"));
-        }
-    } else if schema == Some("cc-bench-throughput/8") {
-        // `/8` adds the required temporal-archive section; eval, serve,
-        // and tune sections may ride along and are still checked (the
-        // serve shape is sniffed from its own keys).
-        validate_archive(&mut errs, doc.get("archive"));
-        if doc.get("eval").is_some() {
-            validate_eval(&mut errs, doc.get("eval"));
-        }
-        if let Some(serve) = doc.get("serve") {
-            let v4 = serve.get("client_counts").is_some();
-            let v6 = serve
-                .get("runs")
-                .and_then(json::Value::as_array)
-                .and_then(|a| a.first())
-                .map(|r| r.get("per_op").is_some())
-                == Some(true);
-            validate_serve(&mut errs, Some(serve), v4, v6);
-        }
-        if doc.get("tune").is_some() {
-            validate_tune(&mut errs, doc.get("tune"));
+    for (key, check_section) in SECTIONS {
+        if let Some(section) = doc.get(key) {
+            check_section(&mut errs, section);
         }
     }
     check(&mut errs, doc.get("preset").and_then(json::Value::as_str).is_some(), "preset missing");
@@ -570,27 +504,25 @@ pub fn validate(text: &str) -> Result<(), Vec<String>> {
                     c.get("encode_speedup").and_then(json::Value::as_f64).is_some(),
                     &format!("{name}: encode_speedup missing"),
                 );
-                if telemetry_required {
-                    // Counters are process-wide deltas: require positive
-                    // traffic in every direction, not exact byte
-                    // accounting (concurrent work in the same process
-                    // may also have incremented them).
-                    match c.get("telemetry") {
-                        None => errs.push(format!("{name}: telemetry section missing")),
-                        Some(t) => {
-                            for key in [
-                                "encode_bytes_in",
-                                "encode_bytes_out",
-                                "decode_bytes_in",
-                                "decode_bytes_out",
-                            ] {
-                                check(
-                                    &mut errs,
-                                    t.get(key).and_then(json::Value::as_f64).map(|v| v > 0.0)
-                                        == Some(true),
-                                    &format!("{name}: telemetry.{key} must be positive"),
-                                );
-                            }
+                // Counters are process-wide deltas: require positive
+                // traffic in every direction, not exact byte accounting
+                // (concurrent work in the same process may also have
+                // incremented them).
+                match c.get("telemetry") {
+                    None => errs.push(format!("{name}: telemetry section missing")),
+                    Some(t) => {
+                        for key in [
+                            "encode_bytes_in",
+                            "encode_bytes_out",
+                            "decode_bytes_in",
+                            "decode_bytes_out",
+                        ] {
+                            check(
+                                &mut errs,
+                                t.get(key).and_then(json::Value::as_f64).map(|v| v > 0.0)
+                                    == Some(true),
+                                &format!("{name}: telemetry.{key} must be positive"),
+                            );
                         }
                     }
                 }
@@ -610,32 +542,41 @@ pub fn validate(text: &str) -> Result<(), Vec<String>> {
     }
 }
 
-/// Check the `serve` section appended by `repro serve-bench`. `/3`
-/// documents (pre-reactor) carry a flat `clients` count and p50/p99;
-/// `/4` documents (`v4`) sweep `client_counts` and add per-run
-/// `clients` and `p999_us`; `/6` documents (`v6`) additionally carry a
-/// non-empty `per_op` latency split per run.
-fn validate_serve(errs: &mut Vec<String>, serve: Option<&json::Value>, v4: bool, v6: bool) {
-    let Some(serve) = serve else {
-        errs.push("serve-schema document must carry a serve section".into());
-        return;
-    };
-    let scalar_keys: &[&str] = if v4 {
-        &["shards", "requests_per_client", "payload_elems"]
-    } else {
-        &["clients", "requests_per_client", "payload_elems"]
-    };
-    for key in scalar_keys {
+/// Set section `key` of the `BENCH.json` document `bench_text` to
+/// `section` and return the merged document. The existing document must
+/// parse and carry a schema field, and the merged one must pass
+/// [`validate`], so a broken artifact refuses the merge instead of
+/// producing an invalid file.
+pub fn merge_section(
+    bench_text: &str,
+    key: &str,
+    section: json::Value,
+) -> Result<String, Vec<String>> {
+    let mut doc = json::parse(bench_text)
+        .map_err(|e| vec![format!("existing BENCH.json is not valid JSON: {e}")])?;
+    if doc.get("schema").and_then(json::Value::as_str).is_none() {
+        return Err(vec!["existing BENCH.json has no schema field".into()]);
+    }
+    doc.set(key, section);
+    let merged = doc.to_json();
+    validate(&merged)?;
+    Ok(merged)
+}
+
+/// Check the `serve` section set by `repro serve-bench`: the
+/// `client_counts` sweep and, per run, p50/p99/p999 latency plus a
+/// non-empty `per_op` latency split.
+fn validate_serve(errs: &mut Vec<String>, serve: &json::Value) {
+    for key in ["shards", "requests_per_client", "payload_elems"] {
         if serve.get(key).and_then(json::Value::as_f64).map(|v| v > 0.0) != Some(true) {
             errs.push(format!("serve.{key} must be a positive number"));
         }
     }
-    if v4
-        && serve
-            .get("client_counts")
-            .and_then(json::Value::as_array)
-            .map(|a| a.iter().all(|v| v.as_f64().map(|c| c >= 1.0) == Some(true)) && !a.is_empty())
-            != Some(true)
+    if serve
+        .get("client_counts")
+        .and_then(json::Value::as_array)
+        .map(|a| a.iter().all(|v| v.as_f64().map(|c| c >= 1.0) == Some(true)) && !a.is_empty())
+        != Some(true)
     {
         errs.push("serve.client_counts must be a non-empty array of positive counts".into());
     }
@@ -651,12 +592,12 @@ fn validate_serve(errs: &mut Vec<String>, serve: Option<&json::Value>, v4: bool,
         {
             errs.push(format!("serve.runs[{i}]: workers/requests/req_per_s must be positive"));
         }
-        if v4 && num("clients").map(|v| v >= 1.0) != Some(true) {
+        if num("clients").map(|v| v >= 1.0) != Some(true) {
             errs.push(format!("serve.runs[{i}]: clients must be >= 1"));
         }
         match (num("p50_us"), num("p99_us")) {
             (Some(p50), Some(p99)) if p99 >= p50 && p50 >= 0.0 => {
-                if v4 && num("p999_us").map(|p999| p999 >= p99) != Some(true) {
+                if num("p999_us").map(|p999| p999 >= p99) != Some(true) {
                     errs.push(format!("serve.runs[{i}]: need p99_us <= p999_us"));
                 }
             }
@@ -665,39 +606,33 @@ fn validate_serve(errs: &mut Vec<String>, serve: Option<&json::Value>, v4: bool,
         if num("busy_rate").map(|v| (0.0..=1.0).contains(&v)) != Some(true) {
             errs.push(format!("serve.runs[{i}]: busy_rate must be in [0, 1]"));
         }
-        if v6 {
-            let ops = r.get("per_op").and_then(json::Value::as_array).unwrap_or_default();
-            if ops.is_empty() {
-                errs.push(format!("serve.runs[{i}]: per_op latency split missing"));
-            }
-            for (j, o) in ops.iter().enumerate() {
-                let onum = |key: &str| o.get(key).and_then(json::Value::as_f64);
-                let ok = o.get("op").and_then(json::Value::as_str).is_some()
-                    && onum("count").map(|v| v >= 1.0) == Some(true)
-                    && matches!(
-                        (onum("p50_us"), onum("p99_us"), onum("p999_us")),
-                        (Some(p50), Some(p99), Some(p999))
-                            if p50 >= 0.0 && p99 >= p50 && p999 >= p99
-                    );
-                if !ok {
-                    errs.push(format!(
-                        "serve.runs[{i}].per_op[{j}]: need op, count >= 1, p50 <= p99 <= p999"
-                    ));
-                }
+        let ops = r.get("per_op").and_then(json::Value::as_array).unwrap_or_default();
+        if ops.is_empty() {
+            errs.push(format!("serve.runs[{i}]: per_op latency split missing"));
+        }
+        for (j, o) in ops.iter().enumerate() {
+            let onum = |key: &str| o.get(key).and_then(json::Value::as_f64);
+            let ok = o.get("op").and_then(json::Value::as_str).is_some()
+                && onum("count").map(|v| v >= 1.0) == Some(true)
+                && matches!(
+                    (onum("p50_us"), onum("p99_us"), onum("p999_us")),
+                    (Some(p50), Some(p99), Some(p999))
+                        if p50 >= 0.0 && p99 >= p50 && p999 >= p99
+                );
+            if !ok {
+                errs.push(format!(
+                    "serve.runs[{i}].per_op[{j}]: need op, count >= 1, p50 <= p99 <= p999"
+                ));
             }
         }
     }
 }
 
-/// Check the `tune` section appended by `repro tune` (`/5` documents):
+/// Check the `tune` section set by `repro tune`:
 /// per-variable auto-tuning outcomes. Every chosen config must have
 /// passed all four ensemble tests, and its CR (compressed/raw, smaller
 /// is better) must match or beat the hand-picked hybrid's.
-fn validate_tune(errs: &mut Vec<String>, tune: Option<&json::Value>) {
-    let Some(tune) = tune else {
-        errs.push("tune-schema document must carry a tune section".into());
-        return;
-    };
+fn validate_tune(errs: &mut Vec<String>, tune: &json::Value) {
     if tune.get("preset").and_then(json::Value::as_str).is_none() {
         errs.push("tune.preset missing".into());
     }
@@ -738,15 +673,10 @@ fn validate_tune(errs: &mut Vec<String>, tune: Option<&json::Value>) {
     }
 }
 
-/// Check the `eval` section appended by `repro eval-bench` (`/7`
-/// documents): verification-engine throughput — member-synthesis and
-/// verdict rates, per-variable tune wall time, and the per-stage
-/// self-time profile the run exported.
-fn validate_eval(errs: &mut Vec<String>, eval: Option<&json::Value>) {
-    let Some(eval) = eval else {
-        errs.push("eval-schema document must carry an eval section".into());
-        return;
-    };
+/// Check the `eval` section set by `repro eval-bench`: verification-
+/// engine throughput — member-synthesis and verdict rates, per-variable
+/// tune wall time, and the per-stage self-time profile the run exported.
+fn validate_eval(errs: &mut Vec<String>, eval: &json::Value) {
     if eval.get("preset").and_then(json::Value::as_str).is_none() {
         errs.push("eval.preset missing".into());
     }
@@ -788,16 +718,12 @@ fn validate_eval(errs: &mut Vec<String>, eval: Option<&json::Value>) {
     }
 }
 
-/// Check the `archive` section appended by `repro archive-bench` (`/8`
-/// documents): per-variable temporal-archive compression versus the
-/// per-timestep workflow, plus random-slice fetch latency. The archive
+/// Check the `archive` section set by `repro archive-bench`: per-variable
+/// temporal-archive compression versus the per-timestep workflow, plus
+/// random-slice fetch latency. The archive
 /// must actually exploit temporal correlation — its CR (smaller is
 /// better) must match or beat the per-timestep CR for every variable.
-fn validate_archive(errs: &mut Vec<String>, archive: Option<&json::Value>) {
-    let Some(archive) = archive else {
-        errs.push("archive-schema document must carry an archive section".into());
-        return;
-    };
+fn validate_archive(errs: &mut Vec<String>, archive: &json::Value) {
     if archive.get("preset").and_then(json::Value::as_str).is_none() {
         errs.push("archive.preset missing".into());
     }
@@ -1154,7 +1080,7 @@ mod tests {
         let report = run(&tiny_config(), &mut |_| {});
         let good = report.to_json();
         for bad in [
-            good.replace("cc-bench-throughput/2", "cc-bench-throughput/0"),
+            good.replace(SCHEMA, "cc-bench-throughput/0"),
             good.replace("\"worker_counts\": [1, 2]", "\"worker_counts\": [1]"),
             good.replace("\"codecs\"", "\"kodecs\""),
             good.replace("\"telemetry\"", "\"telemetree\""),
@@ -1208,13 +1134,56 @@ mod tests {
         );
     }
 
+    fn committed_bench() -> String {
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH.json"))
+            .expect("read the committed BENCH.json")
+    }
+
     #[test]
-    fn validator_accepts_v1_without_telemetry() {
-        let report = run(&tiny_config(), &mut |_| {});
-        let v1 = report
-            .to_json()
-            .replace("cc-bench-throughput/2", "cc-bench-throughput/1")
-            .replace("\"telemetry\"", "\"ignored\"");
-        validate(&v1).expect("v1 documents stay valid without telemetry");
+    fn committed_bench_validates_with_every_section() {
+        let text = committed_bench();
+        validate(&text).expect("committed BENCH.json must validate");
+        let doc = json::parse(&text).unwrap();
+        for (key, _) in SECTIONS {
+            assert!(doc.get(key).is_some(), "committed BENCH.json lacks its {key} section");
+        }
+    }
+
+    #[test]
+    fn sections_merge_in_any_order() {
+        let committed = json::parse(&committed_bench()).unwrap();
+        let section = |key: &str| committed.get(key).unwrap().clone();
+        let base = run(&tiny_config(), &mut |_| {}).to_json();
+        let keys: Vec<&str> = SECTIONS.iter().map(|(key, _)| *key).collect();
+        let merge_all = |order: &[&str]| {
+            order.iter().fold(base.clone(), |doc, key| {
+                merge_section(&doc, key, section(key)).unwrap_or_else(|e| panic!("{key}: {e:?}"))
+            })
+        };
+        let reversed: Vec<&str> = keys.iter().rev().copied().collect();
+        for merged in [merge_all(&keys), merge_all(&reversed)] {
+            validate(&merged).expect("merged document validates");
+            let doc = json::parse(&merged).unwrap();
+            assert_eq!(doc.get("schema").and_then(json::Value::as_str), Some(SCHEMA));
+            for key in &keys {
+                assert_eq!(doc.get(key), committed.get(key), "{key} changed in the merge");
+            }
+        }
+
+        // A schema-less document refuses the merge, and so does a
+        // damaged section.
+        assert!(merge_section("{}", "tune", section("tune")).is_err());
+        let mut serve = section("serve");
+        serve.set("runs", json::Value::Arr(Vec::new()));
+        assert!(merge_section(&base, "serve", serve).is_err());
+    }
+
+    #[test]
+    fn earlier_schema_levels_are_rejected() {
+        let text = committed_bench();
+        for level in 1..=7 {
+            let old = text.replace(SCHEMA, &format!("cc-bench-throughput/{level}"));
+            assert!(validate(&old).is_err(), "/{level} must be rejected");
+        }
     }
 }

@@ -3,11 +3,8 @@
 //! Wraps [`cc_core::TuneReport`] — the generalized enumerate-filter-
 //! minimize search over the (family × parameter) candidate space — in the
 //! same artifact plumbing `serve_bench` uses: serialize the outcomes to a
-//! `tune` JSON section and append it to an existing `BENCH.json`
-//! document, bumping the schema additively to `cc-bench-throughput/5`.
-//! The merged document is re-validated before being returned, so a
-//! schema-less or otherwise broken artifact refuses the merge instead of
-//! producing an invalid file.
+//! `tune` JSON section, which `repro tune` sets on an existing
+//! `BENCH.json` document through [`crate::throughput::merge_section`].
 //!
 //! The section is deterministic by construction: the tuner's candidate
 //! order is fixed, CRs come from worker-count-independent chunked
@@ -36,14 +33,14 @@ impl TuneArtifact {
             .iter()
             .map(|v| {
                 format!(
-                    "{{\"name\": {}, \"chosen\": {}, \"cr\": {:.6}, \"passes\": {}, \
-                     \"hybrid\": {}, \"hybrid_cr\": {:.6}, \"candidates\": {}, \
+                    "{{\"name\": \"{}\", \"chosen\": \"{}\", \"cr\": {:.6}, \"passes\": {}, \
+                     \"hybrid\": \"{}\", \"hybrid_cr\": {:.6}, \"candidates\": {}, \
                      \"passing\": {}}}",
-                    json_str(&v.name),
-                    json_str(&v.chosen.name()),
+                    json::escape(&v.name),
+                    json::escape(&v.chosen.name()),
                     v.verdict.cr,
                     v.verdict.all_pass(),
-                    json_str(&v.hybrid_variant.name()),
+                    json::escape(&v.hybrid_variant.name()),
                     v.hybrid_cr,
                     v.candidates,
                     v.passing
@@ -51,53 +48,12 @@ impl TuneArtifact {
             })
             .collect();
         let text = format!(
-            "{{\"preset\": {}, \"variables\": [{}]}}",
-            json_str(&self.preset),
+            "{{\"preset\": \"{}\", \"variables\": [{}]}}",
+            json::escape(&self.preset),
             vars.join(", ")
         );
         json::parse(&text).expect("tune section serializes to valid JSON")
     }
-
-    /// Merge this report into an existing `BENCH.json` document: set the
-    /// `tune` section and bump the schema to `cc-bench-throughput/5`
-    /// (`/6` and `/7` documents keep their level — both validate a riding
-    /// tune section too). An existing `serve` section rides along
-    /// unchanged. Returns the re-validated document.
-    pub fn merge_into_bench(&self, bench_text: &str) -> Result<String, Vec<String>> {
-        let mut doc = json::parse(bench_text)
-            .map_err(|e| vec![format!("existing BENCH.json is not valid JSON: {e}")])?;
-        let Some(schema) = doc.get("schema").and_then(Value::as_str) else {
-            return Err(vec!["existing BENCH.json has no schema field".into()]);
-        };
-        if schema != "cc-bench-throughput/6"
-            && schema != "cc-bench-throughput/7"
-            && schema != "cc-bench-throughput/8"
-        {
-            doc.set("schema", Value::Str("cc-bench-throughput/5".into()));
-        }
-        doc.set("tune", self.to_value());
-        let merged = doc.to_json();
-        crate::throughput::validate(&merged)?;
-        Ok(merged)
-    }
-}
-
-/// Minimal JSON string encoding (names here are plain ASCII, but quote
-/// and backslash still must not break the document).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -116,7 +72,7 @@ mod tests {
     }
 
     #[test]
-    fn tune_section_merges_into_bench_as_v5() {
+    fn tune_section_merges_into_bench() {
         let report = tiny_report();
         let artifact = TuneArtifact { preset: "quick".into(), report };
 
@@ -130,13 +86,9 @@ mod tests {
             },
             &mut |_| {},
         );
-        let merged = artifact.merge_into_bench(&base.to_json()).expect("merge");
-        crate::throughput::validate(&merged).expect("merged document is /5-valid");
+        let merged = crate::throughput::merge_section(&base.to_json(), "tune", artifact.to_value())
+            .expect("merge");
         let doc = json::parse(&merged).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("cc-bench-throughput/5")
-        );
         let vars = doc
             .get("tune")
             .and_then(|t| t.get("variables"))
@@ -145,9 +97,6 @@ mod tests {
         assert_eq!(vars.len(), 1);
         assert_eq!(vars[0].get("name").and_then(Value::as_str), Some("U"));
         assert_eq!(vars[0].get("passes"), Some(&Value::Bool(true)));
-
-        // A schema-less document refuses the merge.
-        assert!(artifact.merge_into_bench("{}").is_err());
     }
 
     #[test]
@@ -155,11 +104,5 @@ mod tests {
         let a = TuneArtifact { preset: "quick".into(), report: tiny_report() };
         let b = TuneArtifact { preset: "quick".into(), report: tiny_report() };
         assert_eq!(a.to_value().to_json(), b.to_value().to_json());
-    }
-
-    #[test]
-    fn json_str_escapes() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
     }
 }

@@ -30,10 +30,8 @@
 //! codec.
 //!
 //! **Totality.** Decoding recomputes the expected partition from the
-//! caller's layout (accepting either the current partition's frame count
-//! or the pre-overhaul whole-level partition's, for streams written
-//! before sub-level splitting), so a corrupt chunk count or length can
-//! only produce [`CodecError::Corrupt`] — never an oversized allocation:
+//! caller's layout, so a corrupt chunk count or length can only produce
+//! [`CodecError::Corrupt`] — never an oversized allocation:
 //! the output buffer is sized from the caller-supplied layout and every
 //! block is decoded by the wrapped codec's own hardened path.
 
@@ -118,37 +116,6 @@ fn push_row_chunks(specs: &mut Vec<ChunkSpec>, base: usize, npts: usize, cols: u
         });
         start = end;
     }
-}
-
-/// The pre-overhaul partition: 3-D fields always split along whole
-/// levels, never within one. Kept (and tried by [`decompress_chunked`]
-/// when the stream's frame count does not match [`plan`]) so chunked
-/// streams written before sub-level splitting still decode.
-pub fn plan_legacy(layout: Layout) -> Vec<ChunkSpec> {
-    if layout.is_empty() {
-        return Vec::new();
-    }
-    let mut specs = Vec::new();
-    if layout.nlev > 1 {
-        let levs_per = (TARGET_CHUNK_ELEMS / layout.npts.max(1)).max(1);
-        let mut lev = 0;
-        while lev < layout.nlev {
-            let l1 = (lev + levs_per).min(layout.nlev);
-            specs.push(ChunkSpec {
-                start: lev * layout.npts,
-                layout: Layout {
-                    nlev: l1 - lev,
-                    npts: layout.npts,
-                    rows: layout.rows,
-                    cols: layout.cols,
-                },
-            });
-            lev = l1;
-        }
-    } else {
-        push_row_chunks(&mut specs, 0, layout.npts, layout.cols);
-    }
-    specs
 }
 
 /// Compress `data` as a chunked stream, fanning blocks over `workers`
@@ -236,12 +203,8 @@ fn encode_chunk(codec: &dyn Codec, data: &[f32], layout: Layout) -> Vec<u8> {
 /// Decode a chunked stream produced by [`compress_chunked`]. Total over
 /// untrusted input: framing damage returns [`CodecError::Corrupt`] and
 /// block damage surfaces the wrapped codec's error; allocations are
-/// bounded by the caller-supplied layout.
-///
-/// The frame count is read from the stream and matched against the
-/// current partition first and the pre-overhaul whole-level partition
-/// ([`plan_legacy`]) second, so streams written before sub-level
-/// splitting still decode; a count matching neither is [`CodecError::Corrupt`].
+/// bounded by the caller-supplied layout. A frame count that differs
+/// from [`plan`]'s is [`CodecError::Corrupt`].
 pub fn decompress_chunked(
     codec: &dyn Codec,
     bytes: &[u8],
@@ -263,20 +226,9 @@ pub fn decompress_chunked(
         return Err(reject(CodecError::Corrupt("truncated chunk count")));
     }
     let count = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
-    let specs = if count == specs.len() {
-        specs
-    } else {
-        // Pre-overhaul streams partitioned 3-D fields along whole levels;
-        // accept their frame count too. (The counts can only coincide when
-        // the partitions are identical, so there is no ambiguity.)
-        let legacy = plan_legacy(layout);
-        if count != legacy.len() {
-            return Err(reject(CodecError::Corrupt(
-                "chunk count matches neither current nor legacy partition",
-            )));
-        }
-        legacy
-    };
+    if count != specs.len() {
+        return Err(reject(CodecError::Corrupt("chunk count does not match the partition")));
+    }
     let mut frames: Vec<(&[u8], ChunkSpec)> = Vec::with_capacity(specs.len());
     let mut off = 4;
     for s in &specs {
@@ -521,36 +473,34 @@ mod tests {
         }
         // Small levels keep the whole-level grouping.
         let small = Layout { nlev: 4, npts: 10_000, rows: 100, cols: 100 };
-        assert_eq!(plan(small), plan_legacy(small));
+        assert!(plan(small)
+            .iter()
+            .all(|s| s.start % small.npts == 0 && s.layout.npts == small.npts));
     }
 
     #[test]
-    fn legacy_whole_level_stream_decodes() {
+    fn legacy_whole_level_stream_is_corrupt() {
         // A field whose levels exceed TARGET_CHUNK_ELEMS: the current
-        // plan splits within levels, the pre-overhaul plan did not.
+        // plan splits within levels, the pre-overhaul plan framed one
+        // chunk per level. That frame count does not match the partition.
         let layout = Layout { nlev: 2, npts: 100_000, rows: 317, cols: 317 };
         let (data, _) = smooth_field(layout.len(), 1);
-        let legacy_specs = plan_legacy(layout);
-        assert_eq!(legacy_specs.len(), 2);
-        assert_ne!(plan(layout).len(), legacy_specs.len(), "plans must diverge here");
+        assert_ne!(plan(layout).len(), 2, "plans must diverge here");
 
         let codec = Variant::NetCdf4.codec();
-        // Rebuild the pre-overhaul stream from per-chunk plain streams.
+        let per_level = Layout { nlev: 1, ..layout };
         let mut legacy = Vec::new();
         write_layout_header(&mut legacy, layout);
-        legacy.extend_from_slice(&(legacy_specs.len() as u32).to_le_bytes());
-        for s in &legacy_specs {
-            let p = codec.compress(&data[s.start..s.start + s.layout.len()], s.layout);
+        legacy.extend_from_slice(&2u32.to_le_bytes());
+        for lev in data.chunks_exact(layout.npts) {
+            let p = codec.compress(lev, per_level);
             legacy.extend_from_slice(&(p.len() as u32).to_le_bytes());
             legacy.extend_from_slice(&p);
         }
-        let back = decompress_chunked(codec.as_ref(), &legacy, layout, 2).unwrap();
-        assert_eq!(back, data, "legacy whole-level stream must still decode");
-
-        // A frame count matching neither partition is corrupt.
-        let mut bad = legacy.clone();
-        bad[LAYOUT_HEADER_LEN] = 7;
-        assert!(decompress_chunked(codec.as_ref(), &bad, layout, 1).is_err());
+        assert!(matches!(
+            decompress_chunked(codec.as_ref(), &legacy, layout, 2),
+            Err(CodecError::Corrupt(_))
+        ));
     }
 
     #[test]

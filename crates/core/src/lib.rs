@@ -13,7 +13,6 @@
 //! * [`energy`] — the global energy-budget drift check named as future
 //!   work in the paper's conclusions.
 //! * [`report`] — text/CSV rendering of every table and figure.
-//! * [`par`] — scoped-thread data parallelism used throughout.
 //! * [`cli`] — the flag dialect shared by the `ccc` and `repro`
 //!   binaries (`--flag value` parsing, `--workers`, the `--trace` /
 //!   `--metrics` / `--quiet` observability bracket).
@@ -37,7 +36,6 @@ pub mod diagnostics;
 pub mod energy;
 pub mod evaluation;
 pub mod hybrid;
-pub mod par;
 pub mod port;
 pub mod report;
 pub mod timeseries;

@@ -22,14 +22,12 @@
 //! shuffle + deflate over raw little-endian float bytes.
 
 pub mod bitio;
-pub mod bwt;
 pub mod deflate;
 pub mod huffman;
 pub mod lz77;
 pub mod range;
 pub mod shuffle;
 
-pub use bwt::{bwt_compress, bwt_decompress};
 pub use deflate::{compress, decompress, decompress_capped, Level};
 pub use shuffle::{shuffle, unshuffle};
 

@@ -215,25 +215,6 @@ proptest! {
     }
 
     #[test]
-    fn bwt_pipeline_roundtrip(data in prop::collection::vec(any::<u8>(), 0..6000)) {
-        let z = cc_lossless::bwt_compress(&data);
-        prop_assert_eq!(cc_lossless::bwt_decompress(&z).unwrap(), data);
-    }
-
-    #[test]
-    fn bwt_transform_invertible(data in prop::collection::vec(any::<u8>(), 0..2000)) {
-        let (bwt, primary) = cc_lossless::bwt::bwt_forward(&data);
-        prop_assert_eq!(cc_lossless::bwt::bwt_inverse(&bwt, primary).unwrap(), data);
-    }
-
-    #[test]
-    fn bwt_periodic_inputs(unit in prop::collection::vec(any::<u8>(), 1..8), reps in 1usize..64) {
-        let data: Vec<u8> = unit.iter().cycle().take(unit.len() * reps).copied().collect();
-        let (bwt, primary) = cc_lossless::bwt::bwt_forward(&data);
-        prop_assert_eq!(cc_lossless::bwt::bwt_inverse(&bwt, primary).unwrap(), data);
-    }
-
-    #[test]
     fn f32_path_roundtrip(data in prop::collection::vec(any::<f32>(), 0..2000)) {
         // Bit-exact for every representable float, including NaN payloads.
         let z = cc_lossless::compress_f32_shuffled(&data, Level::Default);

@@ -1,18 +1,32 @@
 //! Pins the disabled-path guarantee: with recording off, spans,
 //! counters, and histogram observations must not allocate. This lives
 //! in its own test binary because it installs a counting global
-//! allocator.
+//! allocator. Allocations are counted per thread, so the test harness's
+//! other threads cannot land in the measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation on the calling thread. `try_with` skips the
+/// count while the thread's locals are being torn down.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn thread_allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -21,7 +35,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -48,7 +62,7 @@ fn disabled_recording_allocates_nothing() {
     // the measured window; the gate check never looks at it.
     let dyn_name = String::from("zero_alloc.dyn.section");
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     for i in 0..10_000u64 {
         let _s = cc_obs::span("zero_alloc.section");
         let _d = cc_obs::span_dyn(&dyn_name);
@@ -59,7 +73,7 @@ fn disabled_recording_allocates_nothing() {
         // under a second name — still one relaxed load when off.
         cc_obs::observe("zero_alloc.req_us.ping", i);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = thread_allocs();
     assert_eq!(
         after - before,
         0,

@@ -103,11 +103,3 @@ fn fpzip64_integrates_with_container_for_restart_data() {
     let back = climate_compress::ncdf::Dataset::from_bytes(&ds.to_bytes()).unwrap();
     assert_eq!(back.get_f64(v).unwrap(), state);
 }
-
-#[test]
-fn bwt_codec_available_through_facade() {
-    let data = b"general purpose compressors plateau on float data ".repeat(40);
-    let z = climate_compress::lossless::bwt_compress(&data);
-    assert_eq!(climate_compress::lossless::bwt_decompress(&z).unwrap(), data);
-    assert!(z.len() < data.len() / 3);
-}

@@ -243,15 +243,6 @@ fn deflate_long_codes_decode_is_total() {
 }
 
 #[test]
-fn bwt_decode_is_total() {
-    let payload = byte_payload(64 << 10);
-    let stream = cc_lossless::bwt_compress(&payload);
-    fuzz_decoder("cc-lossless/bwt", payload.len(), &stream, &|bytes| {
-        let _ = cc_lossless::bwt_decompress(bytes);
-    });
-}
-
-#[test]
 fn shuffled_f32_decode_is_total() {
     let (data, _) = smooth_field(8192, 1);
     let stream = cc_lossless::compress_f32_shuffled(&data, cc_lossless::Level::Default);
