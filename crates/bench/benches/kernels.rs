@@ -1,6 +1,9 @@
 //! Hot-kernel microbenchmarks for paths the kernel overhaul rewrote:
-//! bit I/O (word-accumulator writer/reader and Rice coding) and the
-//! ISABELA window pipeline (radix sort + scratch + basis cache).
+//! bit I/O (word-accumulator writer/reader and Rice coding), the ISABELA
+//! window pipeline (radix sort + scratch + basis cache), and the three
+//! kernels of the tuning sweep that per-call overhead dominated: Huffman
+//! code lengths (package-merge), ensemble accumulation, and the APAX
+//! fixed-rate shift search.
 
 use cc_codecs::{Codec, Layout};
 use cc_lossless::bitio::{BitReader, BitWriter};
@@ -105,5 +108,59 @@ fn bench_isabela_window(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_bitio, bench_isabela_window);
+/// A smooth field with noise on the scale of ensemble spread: member `m`
+/// of `npts` points.
+fn member_field(m: usize, npts: usize) -> Vec<f32> {
+    let mut state = 0x2545_F491_4F6C_DD1Du64 ^ (m as u64).wrapping_mul(0x9E37_79B9);
+    (0..npts)
+        .map(|p| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let noise = ((state >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 0.2;
+            let x = p as f32 / npts as f32;
+            250.0 + 40.0 * (7.1 * x).sin() + 3.0 * (53.0 * x).cos() + noise
+        })
+        .collect()
+}
+
+fn bench_tuning_kernels(c: &mut Criterion) {
+    // A deflate literal/length alphabet (286 symbols) with the skewed,
+    // partly empty histogram an SZ token stream gives.
+    let freqs: Vec<u64> = residuals(286)
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| if i % 9 == 4 { 0 } else { (v >> 20) + 1 })
+        .collect();
+    let mut group = c.benchmark_group("huffman");
+    group.bench_function("code_lengths/286", |b| {
+        b.iter(|| black_box(cc_lossless::huffman::code_lengths(black_box(&freqs), 15)))
+    });
+    group.finish();
+
+    // One ne=3 level (3,456 points), 11 members as in a tuning sweep.
+    const NPTS: usize = 3_456;
+    let members: Vec<Vec<f32>> = (0..11).map(|m| member_field(m, NPTS)).collect();
+    let mut group = c.benchmark_group("pvt");
+    group.throughput(Throughput::Elements((11 * NPTS) as u64));
+    group.bench_function("add_member/11x3456", |b| {
+        b.iter(|| {
+            let mut stats = cc_pvt::EnsembleStats::new(NPTS);
+            for f in &members {
+                stats.add_member(black_box(f));
+            }
+            black_box(stats)
+        })
+    });
+    group.finish();
+
+    let codec = cc_codecs::apax::Apax::fixed_rate(5.0);
+    let layout = Layout::linear(NPTS);
+    let mut group = c.benchmark_group("apax");
+    group.throughput(Throughput::Bytes((NPTS * 4) as u64));
+    group.bench_function("encode_fixed_rate/APAX-5", |b| {
+        b.iter(|| black_box(codec.compress(black_box(&members[0]), layout)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_bitio, bench_isabela_window, bench_tuning_kernels);
 criterion_main!(benches);

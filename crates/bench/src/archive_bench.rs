@@ -187,8 +187,8 @@ impl ArchiveBenchArtifact {
                      \"raw_bytes\": {}, \"archive_bytes\": {}, \"per_timestep_bytes\": {}, \
                      \"archive_cr\": {:.6}, \"per_timestep_cr\": {:.6}, \
                      \"slice_p50_us\": {}, \"slice_p99_us\": {}}}",
-                    v.name,
-                    v.codec,
+                    json::escape(&v.name),
+                    json::escape(&v.codec),
                     v.frames,
                     v.raw_bytes,
                     v.archive_bytes,
@@ -203,7 +203,7 @@ impl ArchiveBenchArtifact {
         let text = format!(
             "{{\"preset\": \"{}\", \"timesteps\": {}, \"keyframe_every\": {}, \
              \"fetches\": {}, \"variables\": [{}]}}",
-            self.config.preset,
+            json::escape(&self.config.preset),
             self.config.timesteps,
             self.config.keyframe_every,
             self.config.fetches,
@@ -268,5 +268,30 @@ mod tests {
             .expect("archive.variables");
         assert_eq!(vars.len(), 1);
         assert_eq!(vars[0].get("name").and_then(Value::as_str), Some("U"));
+    }
+
+    #[test]
+    fn archive_section_escapes_names() {
+        let name = r#"U "hi" \ lo"#;
+        let artifact = ArchiveBenchArtifact {
+            config: ArchiveBenchConfig { preset: r#"q"\"#.into(), ..tiny_config() },
+            variables: vec![ArchiveVarBench {
+                name: name.into(),
+                codec: r#"SZ "rel" \ 1e-4"#.into(),
+                frames: 1,
+                raw_bytes: 8,
+                archive_bytes: 4,
+                per_timestep_bytes: 6,
+                archive_cr: 0.5,
+                per_timestep_cr: 0.75,
+                slice_p50_us: 1,
+                slice_p99_us: 2,
+            }],
+        };
+        let section = artifact.to_value();
+        let var = &section.get("variables").and_then(Value::as_array).expect("variables")[0];
+        assert_eq!(var.get("name").and_then(Value::as_str), Some(name));
+        assert_eq!(var.get("codec").and_then(Value::as_str), Some(r#"SZ "rel" \ 1e-4"#));
+        assert_eq!(section.get("preset").and_then(Value::as_str), Some(r#"q"\"#));
     }
 }

@@ -262,7 +262,11 @@ impl ServeBenchReport {
                         format!(
                             "{{\"op\": \"{}\", \"count\": {}, \"p50_us\": {}, \
                              \"p99_us\": {}, \"p999_us\": {}}}",
-                            o.op, o.count, o.p50_us, o.p99_us, o.p999_us
+                            json::escape(&o.op),
+                            o.count,
+                            o.p50_us,
+                            o.p99_us,
+                            o.p999_us
                         )
                     })
                     .collect();
@@ -348,5 +352,34 @@ mod tests {
                 .map(|a| a.len()),
             Some(1)
         );
+    }
+
+    #[test]
+    fn serve_section_escapes_op_names() {
+        let op = r#"fetch "slice" \ v2"#;
+        let report = ServeBenchReport {
+            config: ServeBenchConfig::quick(),
+            runs: vec![ServeRun {
+                workers: 1,
+                clients: 8,
+                requests: 1,
+                req_per_s: 1.0,
+                p50_us: 1,
+                p99_us: 1,
+                p999_us: 1,
+                busy_rate: 0.0,
+                per_op: vec![OpLatency {
+                    op: op.into(),
+                    count: 1,
+                    p50_us: 1,
+                    p99_us: 1,
+                    p999_us: 1,
+                }],
+            }],
+        };
+        let section = report.to_value();
+        let run = &section.get("runs").and_then(Value::as_array).expect("runs")[0];
+        let per_op = run.get("per_op").and_then(Value::as_array).expect("per_op");
+        assert_eq!(per_op[0].get("op").and_then(Value::as_str), Some(op));
     }
 }

@@ -139,11 +139,7 @@ fn bits_needed(q: &[i64]) -> u32 {
 /// Rice parameter minimizing the exact coded size: start from the
 /// log2(mean) estimate and descend the (convex) size curve.
 fn rice_k_for(zz: &[u64]) -> u32 {
-    let mean = zz.iter().map(|&v| v as u128).sum::<u128>() / zz.len().max(1) as u128;
-    let mut k = 0u32;
-    while (1u128 << (k + 1)) <= mean + 1 && k < 40 {
-        k += 1;
-    }
+    let k = rice_k_estimate(zz);
     let mut best = (rice_size(zz, k), k);
     for cand in k.saturating_sub(2)..=(k + 2).min(40) {
         let size = rice_size(zz, cand);
@@ -152,6 +148,35 @@ fn rice_k_for(zz: &[u64]) -> u32 {
         }
     }
     best.1
+}
+
+/// The log2(mean) estimate [`rice_k_for`] searches around.
+fn rice_k_estimate(zz: &[u64]) -> u32 {
+    let mean = zz.iter().map(|&v| v as u128).sum::<u128>() / zz.len().max(1) as u128;
+    let mut k = 0u32;
+    while (1u128 << (k + 1)) <= mean + 1 && k < 40 {
+        k += 1;
+    }
+    k
+}
+
+/// `rice_size(zz, rice_k_for(zz))` in two passes instead of about seven:
+/// the mean, then the sizes at all of [`rice_k_for`]'s candidates at
+/// once. Its pick is a candidate of least size, so whichever way it
+/// breaks a tie, its size is the least one here.
+fn rice_size_best(zz: &[u64]) -> u64 {
+    let k = rice_k_estimate(zz);
+    let (lo, hi) = (k.saturating_sub(2), (k + 2).min(40));
+    // Lanes past `hi` repeat `hi`, which leaves the minimum alone.
+    let cands: [u32; 5] = std::array::from_fn(|j| (lo + j as u32).min(hi));
+    let mut sizes = [0u64; 5];
+    for &v in zz {
+        for (size, &c) in sizes.iter_mut().zip(&cands) {
+            let q = v >> c;
+            *size += if q < 48 { q + 1 + c as u64 } else { 48 + 64 };
+        }
+    }
+    sizes.into_iter().min().unwrap_or(0)
 }
 
 /// Split a residual stream into (up to) four equal quarters, each of which
@@ -176,6 +201,32 @@ fn rice_size(zz: &[u64], k: u32) -> u64 {
     bits
 }
 
+/// The fixed-rate search: the smallest quantization shift (at most 40)
+/// whose Rice-coded residuals fit `payload` bits. Leaves that shift's
+/// filtered mantissas in `filtered`. Both buffers are reused across the
+/// trial shifts, and a trial stops summing quarters once it is over the
+/// payload.
+fn fixed_rate_shift(q: &[i64], order: usize, payload: u64, filtered: &mut Vec<i64>) -> u32 {
+    let mut zz = Vec::with_capacity(q.len());
+    let mut s = 0u32;
+    loop {
+        Apax::quantize_and_filter(q, s, order as u32, filtered);
+        if s >= 40 {
+            return s;
+        }
+        zz.clear();
+        zz.extend(filtered[order..].iter().map(|&v| zigzag(v)));
+        let mut size = 0u64;
+        if quarters(&zz).all(|quarter| {
+            size += rice_size_best(quarter);
+            size <= payload
+        }) {
+            return s;
+        }
+        s += 1;
+    }
+}
+
 /// Block header: exp(16) + order(2) + shift s(6) + width W(6) bits.
 const HEADER_BITS: u64 = 30;
 
@@ -192,10 +243,11 @@ impl Apax {
     /// Quantize mantissas by `s` bits (round-to-nearest, in the original
     /// domain so the error is bounded per sample with no integration
     /// amplification), then apply the derivative pre-filter losslessly.
-    fn quantize_and_filter(q: &[i64], s: u32, order: u32) -> Vec<i64> {
-        let mut out: Vec<i64> = q.iter().map(|&v| round_shift(v, s)).collect();
-        apply_derivative(&mut out, order);
-        out
+    /// Writes into `out`, whose allocation the fixed-rate search reuses.
+    fn quantize_and_filter(q: &[i64], s: u32, order: u32, out: &mut Vec<i64>) {
+        out.clear();
+        out.extend(q.iter().map(|&v| round_shift(v, s)));
+        apply_derivative(out, order);
     }
 
     fn compress_block(&self, block: &[f32], w: &mut BitWriter) {
@@ -217,13 +269,18 @@ impl Apax {
         const WARMUP_BITS: u64 = 28; // zigzagged 26-bit BFP mantissas
 
         // Choose the quantization shift `s`.
-        let (s, filtered) = match self.mode {
-            Mode::Lossless => (0u32, Self::quantize_and_filter(&q, 0, order as u32)),
+        let mut filtered = Vec::with_capacity(n);
+        let s = match self.mode {
+            Mode::Lossless => {
+                Self::quantize_and_filter(&q, 0, order as u32, &mut filtered);
+                0
+            }
             Mode::FixedQuality(target) => {
                 // Quantizing mantissas by s bits gives |err| ≤ 2^(s−1)/scale.
                 let max_step = (target * scale).max(1.0);
                 let s = (max_step.log2().floor().max(0.0) as u32).min(40);
-                (s, Self::quantize_and_filter(&q, s, order as u32))
+                Self::quantize_and_filter(&q, s, order as u32, &mut filtered);
+                s
             }
             Mode::FixedRate(rate) => {
                 // Find the smallest quantization shift whose Rice-coded
@@ -233,18 +290,7 @@ impl Apax {
                 let payload = budget.saturating_sub(
                     HEADER_BITS + 3 * 6 + order as u64 * WARMUP_BITS,
                 );
-                let mut s = 0u32;
-                loop {
-                    let f = Self::quantize_and_filter(&q, s, order as u32);
-                    let zz: Vec<u64> = f[order..].iter().map(|&v| zigzag(v)).collect();
-                    let size: u64 = quarters(&zz)
-                        .map(|quarter| rice_size(quarter, rice_k_for(quarter)))
-                        .sum();
-                    if size <= payload || s >= 40 {
-                        break (s, f);
-                    }
-                    s += 1;
-                }
+                fixed_rate_shift(&q, order, payload, &mut filtered)
             }
         };
 
@@ -599,6 +645,132 @@ mod tests {
             })
             .collect();
         assert_eq!(choose_derivative(&noise), 0);
+    }
+
+    /// Deterministic pseudo-random words for the tests below.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state
+        }
+    }
+
+    #[test]
+    fn one_pass_rice_size_matches_search() {
+        let mut next = lcg(0xA9A7);
+        let mut escaped = false;
+        for case in 0..600 {
+            let len = (next() % 70) as usize;
+            let zz: Vec<u64> = match case % 3 {
+                // Random magnitudes from 0 to 64 bits.
+                0 => (0..len).map(|_| next() >> (next() % 65).min(63)).collect(),
+                1 => vec![0; len],
+                // Escape-heavy: small values with every seventh one huge.
+                _ => (0..len)
+                    .map(|i| match i % 7 {
+                        0 => (next() >> (next() % 8)) | 1 << 56,
+                        _ => next() % 4,
+                    })
+                    .collect(),
+            };
+            let k = rice_k_for(&zz);
+            escaped |= zz.iter().any(|&v| v >> k >= 48);
+            assert_eq!(rice_size_best(&zz), rice_size(&zz, k), "case {case}: {zz:?}");
+        }
+        assert!(escaped, "no case reached the escape code");
+    }
+
+    /// The fixed-rate search as first written: new vectors per trial
+    /// shift, `rice_k_for` then `rice_size` per quarter, the full sum.
+    fn fixed_rate_shift_reference(q: &[i64], order: usize, payload: u64) -> (u32, Vec<i64>) {
+        let mut s = 0u32;
+        loop {
+            let mut f = Vec::new();
+            Apax::quantize_and_filter(q, s, order as u32, &mut f);
+            let zz: Vec<u64> = f[order..].iter().map(|&v| zigzag(v)).collect();
+            let size: u64 =
+                quarters(&zz).map(|quarter| rice_size(quarter, rice_k_for(quarter))).sum();
+            if size <= payload || s >= 40 {
+                return (s, f);
+            }
+            s += 1;
+        }
+    }
+
+    #[test]
+    fn fixed_rate_search_matches_reference() {
+        let mut next = lcg(0x5A17);
+        for case in 0..400 {
+            let n = 1 + (next() % BLOCK as u64) as usize;
+            let bits = 1 + next() % 26;
+            let smooth = case % 2 == 0;
+            let mut acc = 0i64;
+            let q: Vec<i64> = (0..n)
+                .map(|_| {
+                    let step = (next() % (1 << bits)) as i64 - (1 << (bits - 1));
+                    acc = if smooth { acc.wrapping_add(step >> 4) } else { step };
+                    acc
+                })
+                .collect();
+            let order = (case % 3).min(n);
+            let payload = next() % (40 * n as u64);
+            let mut filtered = Vec::new();
+            let s = fixed_rate_shift(&q, order, payload, &mut filtered);
+            let (s_ref, f_ref) = fixed_rate_shift_reference(&q, order, payload);
+            assert_eq!((s, &filtered), (s_ref, &f_ref), "case {case}");
+        }
+    }
+
+    #[test]
+    fn fixed_rate_blocks_fill_their_budget_exactly() {
+        let mut next = lcg(0xB10C);
+        // Three full blocks and a short trailing one.
+        let n = 3 * BLOCK + 41;
+        let layout = Layout::linear(n);
+        for rate in 2..=7 {
+            let rate = rate as f64;
+            let data: Vec<f32> = (0..n)
+                .map(|_| {
+                    let mag = 2f32.powi((next() % 40) as i32 - 20);
+                    mag * ((next() >> 40) as f32 / (1u64 << 24) as f32 - 0.5)
+                })
+                .collect();
+            let codec = Apax::fixed_rate(rate);
+            let mut w = BitWriter::new();
+            for block in data.chunks(BLOCK) {
+                let before = w.bit_len();
+                codec.compress_block(block, &mut w);
+                let used = (w.bit_len() - before) as u64;
+                assert_eq!(used, block_budget_bits(block.len(), rate), "rate {rate}");
+            }
+            let bytes = codec.compress(&data, layout);
+            assert_eq!(crate::check_layout_header(&bytes, layout).unwrap(), w.finish());
+            let back = codec.decompress(&bytes, layout).unwrap();
+            assert_eq!(back.len(), n);
+            // Each sample is off by at most the BFP rounding plus the
+            // quantization its block header's shift `s` allows.
+            let mut r = BitReader::new(crate::check_layout_header(&bytes, layout).unwrap());
+            for (block, decoded) in data.chunks(BLOCK).zip(back.chunks(BLOCK)) {
+                let start = r.bits_consumed();
+                let exp = (r.read_bits(16).unwrap() as u16) as i16 as i32;
+                r.read_bits(2).unwrap();
+                let s = r.read_bits(6).unwrap() as i32;
+                let scale = 2f64.powi(BFP_BITS as i32 - 2 - exp);
+                let bound = (0.5 + 2f64.powi(s - 1)) / scale;
+                for (&a, &b) in block.iter().zip(decoded) {
+                    let err = (a as f64 - b as f64).abs();
+                    assert!(err <= bound + b.abs() as f64 * 1e-7, "rate {rate}: {a} vs {b}");
+                }
+                let budget = block_budget_bits(block.len(), rate) as usize;
+                let mut skip = budget - (r.bits_consumed() - start);
+                while skip > 0 {
+                    let chunk = skip.min(48);
+                    r.read_bits(chunk as u32).unwrap();
+                    skip -= chunk;
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,9 +23,8 @@ pub const MAX_CODE_LEN: u32 = 15;
 /// zero length, i.e. symbol absent). Lengths never exceed `max_len`.
 pub fn code_lengths(freqs: &[u64], max_len: u32) -> Vec<u32> {
     assert!((1..=MAX_CODE_LEN).contains(&max_len));
-    let n = freqs.len();
-    let active: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
-    let mut lengths = vec![0u32; n];
+    let active: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
+    let mut lengths = vec![0u32; freqs.len()];
     match active.len() {
         0 => return lengths,
         1 => {
@@ -41,49 +40,71 @@ pub fn code_lengths(freqs: &[u64], max_len: u32) -> Vec<u32> {
         active.len()
     );
 
-    // Package-merge. Packages are Copy nodes — a leaf (index into
-    // `active`) or a pair of indices into the previous level's sorted
-    // array — so each level is a flat clone + stable sort with no
-    // per-package allocation. Construction order (leaves first, then
-    // pairs) and the stable sort keep tie-breaking, and therefore the
-    // resulting length vector, identical to the list-of-leaves form.
-    #[derive(Clone, Copy)]
-    enum Node {
-        Leaf(u32),
-        Pair(u32, u32),
-    }
-    let leaf_items: Vec<(u64, Node)> = active
-        .iter()
-        .enumerate()
-        .map(|(j, &i)| (freqs[i], Node::Leaf(j as u32)))
-        .collect();
-
-    let mut levels: Vec<Vec<(u64, Node)>> = Vec::with_capacity(max_len as usize);
-    for _level in 0..max_len {
-        let mut merged = leaf_items.clone();
-        if let Some(prev) = levels.last() {
-            for (k, pair) in prev.chunks_exact(2).enumerate() {
-                merged.push((pair[0].0 + pair[1].0, Node::Pair(2 * k as u32, 2 * k as u32 + 1)));
-            }
+    // Package-merge. Every level is the leaves merged with the pairwise
+    // sums of the level below, in weight order with a leaf first on equal
+    // weight. The leaves are sorted once (stable, so equal weights keep
+    // symbol order); the pair sums of a sorted level never decrease, so
+    // each level is one linear merge and equals the stable sort of
+    // "leaves, then pairs" that defines the tie order. Only the weights of
+    // the level below and, per level, which slots hold a leaf are kept.
+    let n = active.len();
+    let mut order = active;
+    order.sort_by_key(|&i| freqs[i]);
+    let leaves: Vec<u64> = order.iter().map(|&i| freqs[i]).collect();
+    let levels = max_len as usize;
+    let stride = 2 * n;
+    let mut is_leaf = vec![0u8; levels * stride];
+    let mut prev = vec![0u64; stride];
+    let mut cur = vec![0u64; stride];
+    prev[..n].copy_from_slice(&leaves);
+    is_leaf[..n].fill(1);
+    let mut prev_len = n;
+    for flags in is_leaf.chunks_exact_mut(stride).skip(1) {
+        let pairs = prev_len / 2;
+        let pair = |j: usize| prev[2 * j] + prev[2 * j + 1];
+        let (mut i, mut j, mut k) = (0, 0, 0);
+        // Branch-light merge: the comparison selects the value and
+        // advances exactly one cursor.
+        while i < n && j < pairs {
+            let (lw, pw) = (leaves[i], pair(j));
+            let take_leaf = lw <= pw;
+            cur[k] = if take_leaf { lw } else { pw };
+            flags[k] = take_leaf as u8;
+            i += take_leaf as usize;
+            j += !take_leaf as usize;
+            k += 1;
         }
-        merged.sort_by_key(|p| p.0);
-        levels.push(merged);
+        for &lw in &leaves[i..] {
+            cur[k] = lw;
+            flags[k] = 1;
+            k += 1;
+        }
+        // Pair slots keep the 0 flag they were allocated with.
+        for j in j..pairs {
+            cur[k] = pair(j);
+            k += 1;
+        }
+        std::mem::swap(&mut prev, &mut cur);
+        prev_len = k;
     }
 
-    // Take the cheapest 2(n-1) packages of the last level; each leaf
-    // reachable from a taken package adds one to its symbol's length.
-    // Iterative traversal over (level, index) pairs.
-    let take = 2 * (active.len() - 1);
-    let top = levels.len() - 1;
-    let mut stack: Vec<(usize, u32)> = (0..take).map(|i| (top, i as u32)).collect();
-    while let Some((level, idx)) = stack.pop() {
-        match levels[level][idx as usize].1 {
-            Node::Leaf(j) => lengths[active[j as usize]] += 1,
-            Node::Pair(a, b) => {
-                stack.push((level - 1, a));
-                stack.push((level - 1, b));
-            }
-        }
+    // Take the cheapest 2(n-1) packages of the top level. The pairs among
+    // any taken prefix are that level's first pairs, so they expand to a
+    // prefix of the level below, twice their count long; the leaves among
+    // it are the first sorted leaves, each gaining one bit. `taken[c]`
+    // counts the levels whose prefix holds exactly c leaves.
+    let mut taken = vec![0u32; n + 1];
+    let mut prefix = 2 * (n - 1);
+    for flags in is_leaf.chunks_exact(stride).rev() {
+        let c: usize = flags[..prefix].iter().map(|&f| f as usize).sum();
+        taken[c] += 1;
+        prefix = 2 * (prefix - c);
+    }
+    // Sorted leaf i is taken at every level whose count exceeds i.
+    let mut len = 0u32;
+    for (i, &sym) in order.iter().enumerate().rev() {
+        len += taken[i + 1];
+        lengths[sym] = len;
     }
     debug_assert!(lengths.iter().all(|&l| l <= max_len));
     lengths

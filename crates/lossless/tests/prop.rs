@@ -88,6 +88,77 @@ fn skewed_lengths(exps: &[u32]) -> Vec<u32> {
     code_lengths(&freqs, MAX_CODE_LEN)
 }
 
+/// Test-only oracle: package-merge as first written. Every level clones
+/// the leaf list, appends the pairs of the level below and stable-sorts by
+/// weight; the lengths come from walking the taken packages with a stack.
+/// [`code_lengths`] must return exactly this vector, tie order included.
+fn code_lengths_by_sorting(freqs: &[u64], max_len: u32) -> Vec<u32> {
+    let active: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
+    let mut lengths = vec![0u32; freqs.len()];
+    match active.len() {
+        0 => return lengths,
+        1 => {
+            lengths[active[0]] = 1;
+            return lengths;
+        }
+        _ => {}
+    }
+    #[derive(Clone, Copy)]
+    enum Node {
+        Leaf(u32),
+        Pair(u32, u32),
+    }
+    let leaf_items: Vec<(u64, Node)> = active
+        .iter()
+        .enumerate()
+        .map(|(j, &i)| (freqs[i], Node::Leaf(j as u32)))
+        .collect();
+    let mut levels: Vec<Vec<(u64, Node)>> = Vec::new();
+    for _ in 0..max_len {
+        let mut merged = leaf_items.clone();
+        if let Some(prev) = levels.last() {
+            for (k, pair) in prev.chunks_exact(2).enumerate() {
+                merged.push((pair[0].0 + pair[1].0, Node::Pair(2 * k as u32, 2 * k as u32 + 1)));
+            }
+        }
+        merged.sort_by_key(|p| p.0);
+        levels.push(merged);
+    }
+    let top = levels.len() - 1;
+    let take = 2 * (active.len() - 1);
+    let mut stack: Vec<(usize, u32)> = (0..take).map(|i| (top, i as u32)).collect();
+    while let Some((level, idx)) = stack.pop() {
+        match levels[level][idx as usize].1 {
+            Node::Leaf(j) => lengths[active[j as usize]] += 1,
+            Node::Pair(a, b) => {
+                stack.push((level - 1, a));
+                stack.push((level - 1, b));
+            }
+        }
+    }
+    lengths
+}
+
+/// Frequency vectors that stress package-merge's tie order, shaped from
+/// random draws `raw`: random (0), all-equal (1), drawn from a handful of
+/// values (2), power-of-two skewed (3), and one or two active symbols
+/// among zeros (4).
+fn shaped_freqs(shape: u8, raw: &[u64]) -> Vec<u64> {
+    let n = raw.len();
+    match shape {
+        0 => raw.to_vec(),
+        1 => vec![raw[0] % 1_000 + 1; n],
+        2 => raw.iter().map(|&v| [0, 1, 2, 3, 5, 8][(v % 6) as usize]).collect(),
+        3 => raw.iter().map(|&v| if v % 40 == 0 { 0 } else { 1u64 << (v % 40) }).collect(),
+        _ => {
+            let mut freqs = vec![0u64; n];
+            freqs[(raw[0] % n as u64) as usize] = raw[0] % 100 + 1;
+            freqs[(raw[n - 1] % n as u64) as usize] += raw[n - 1] % 100;
+            freqs
+        }
+    }
+}
+
 /// A message over the symbols `lengths` codes, encoded and cut to `cut`.
 fn encoded_prefix(
     lengths: &[u32],
@@ -277,5 +348,27 @@ proptest! {
         }
         agrees_with_reference(&lengths, &encoded_prefix(&lengths, &picks, cut));
         agrees_with_reference(&lengths, &garbage);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn code_lengths_match_sorting_oracle(
+        shape in 0u8..5,
+        raw in prop::collection::vec(0u64..1_000_000, 1..300),
+    ) {
+        let freqs = shaped_freqs(shape, &raw);
+        let active = freqs.iter().filter(|&&f| f > 0).count();
+        // ceil(log2(active)): the shortest limit that fits the alphabet.
+        let shortest = (usize::BITS - active.saturating_sub(1).leading_zeros()).max(1);
+        for max_len in shortest..=MAX_CODE_LEN {
+            prop_assert_eq!(
+                code_lengths(&freqs, max_len),
+                code_lengths_by_sorting(&freqs, max_len),
+                "max_len {}", max_len
+            );
+        }
     }
 }

@@ -29,10 +29,15 @@ pub const FILL_VALUE: f32 = 1.0e35;
 /// Real CAM data never reaches 1e30; the fill is 1e35.
 pub const SPECIAL_THRESHOLD: f32 = 1.0e30;
 
-/// True if `v` is a special/missing value (fill, NaN, or infinity).
+/// True if `v` is a special/missing value (fill, NaN, or infinity):
+/// `!v.is_finite() || v.abs() >= SPECIAL_THRESHOLD`.
+///
+/// Computed as one integer compare on the magnitude bits, which
+/// vectorises. Non-negative floats order like their bit patterns, and ±∞
+/// and every NaN pattern lie above the threshold's.
 #[inline]
 pub fn is_special(v: f32) -> bool {
-    !v.is_finite() || v.abs() >= SPECIAL_THRESHOLD
+    (v.to_bits() & 0x7FFF_FFFF) >= SPECIAL_THRESHOLD.to_bits()
 }
 
 /// Eq. (1): `CR = filesize(compressed) / filesize(original)`.
@@ -352,6 +357,18 @@ mod tests {
         assert!(!is_special(1.0e20));
         assert!(!is_special(0.0));
         assert!(!is_special(-123.0));
+    }
+
+    #[test]
+    fn is_special_matches_float_definition() {
+        let by_floats = |v: f32| !v.is_finite() || v.abs() >= SPECIAL_THRESHOLD;
+        let t = SPECIAL_THRESHOLD.to_bits();
+        let edges = [0, 1, t - 1, t, t + 1, 0x7F7F_FFFF, 0x7F80_0000, 0x7F80_0001, 0x7FC0_0000];
+        let sampled = (0..=u32::MAX).step_by(4_099);
+        for bits in edges.into_iter().flat_map(|b| [b, b | 0x8000_0000]).chain(sampled) {
+            let v = f32::from_bits(bits);
+            assert_eq!(is_special(v), by_floats(v), "bits {bits:#010x}");
+        }
     }
 
     #[test]

@@ -99,32 +99,50 @@ impl EnsembleStats {
     }
 
     /// Accumulate one member's field.
+    ///
+    /// Branch-free per point, in one loop each for the sums, the minima
+    /// and the maxima, so each vectorises. A special value adds `+0.0` to
+    /// the sums, which is exact because they start at `+0.0` and so never
+    /// hold `-0.0`; it offers `+∞`/`−∞` to the extremes, which neither
+    /// replaces nor shifts; and it sets the point's flag. Every other
+    /// value takes the same operations in the same order as a branching
+    /// loop that skips special values.
     pub fn add_member(&mut self, data: &[f32]) {
-        assert_eq!(data.len(), self.npts, "field length mismatch");
-        let mut gsum = 0.0f64;
-        let mut gcount = 0usize;
-        for (p, &v) in data.iter().enumerate() {
-            if is_special(v) {
-                self.special[p] = true;
-                continue;
-            }
-            let x = v as f64;
-            self.sum[p] += x;
-            self.sumsq[p] += x * x;
-            if v < self.min1[p] {
-                self.min2[p] = self.min1[p];
-                self.min1[p] = v;
-            } else if v < self.min2[p] {
-                self.min2[p] = v;
-            }
-            if v > self.max1[p] {
-                self.max2[p] = self.max1[p];
-                self.max1[p] = v;
-            } else if v > self.max2[p] {
-                self.max2[p] = v;
-            }
-            gsum += x;
-            gcount += 1;
+        let n = self.npts;
+        assert_eq!(data.len(), n, "field length mismatch");
+        let (sum, sumsq) = (&mut self.sum[..n], &mut self.sumsq[..n]);
+        let (min1, min2) = (&mut self.min1[..n], &mut self.min2[..n]);
+        let (max1, max2) = (&mut self.max1[..n], &mut self.max2[..n]);
+        let special = &mut self.special[..n];
+        for p in 0..n {
+            let v = data[p];
+            let sp = is_special(v);
+            let x = if sp { 0.0 } else { v as f64 };
+            sum[p] += x;
+            sumsq[p] += x * x;
+            special[p] |= sp;
+        }
+        for p in 0..n {
+            let v = data[p];
+            let lo = if is_special(v) { f32::INFINITY } else { v };
+            let (m1, m2) = (min1[p], min2[p]);
+            min1[p] = if lo < m1 { lo } else { m1 };
+            min2[p] = if lo < m1 { m1 } else if lo < m2 { lo } else { m2 };
+        }
+        for p in 0..n {
+            let v = data[p];
+            let hi = if is_special(v) { f32::NEG_INFINITY } else { v };
+            let (m1, m2) = (max1[p], max2[p]);
+            max1[p] = if hi > m1 { hi } else { m1 };
+            max2[p] = if hi > m1 { m1 } else if hi > m2 { hi } else { m2 };
+        }
+        // The global mean is an ordered sum, so it stays out of the
+        // vectorised loops; same `+0.0` rule.
+        let (mut gsum, mut gcount) = (0.0f64, 0usize);
+        for &v in data {
+            let sp = is_special(v);
+            gsum += if sp { 0.0 } else { v as f64 };
+            gcount += !sp as usize;
         }
         self.global_means.push(if gcount == 0 { 0.0 } else { gsum / gcount as f64 });
         self.n_members += 1;
@@ -140,22 +158,39 @@ impl EnsembleStats {
         assert_eq!(eval.len(), self.npts);
         assert!(self.n_members >= 3, "need at least 3 members for leave-one-out Z");
         let nm1 = (self.n_members - 1) as f64;
+        // Two passes per block of points. The first writes every point's z²
+        // and whether the point is usable (not special, with variance), with
+        // no branches, so it vectorises. The second adds the usable z² in
+        // point order, which fixes the rounding of the sum; an unusable
+        // point adds `+0.0`, which is exact as `acc` never holds `-0.0`. A
+        // NaN z² at a usable point (a NaN in `eval`) still propagates.
+        const BLOCK: usize = 256;
+        let mut z2 = [0.0f64; BLOCK];
+        let mut usable = [false; BLOCK];
         let mut acc = 0.0f64;
         let mut count = 0usize;
-        for p in 0..self.npts {
-            if self.special[p] {
-                continue;
+        for start in (0..self.npts).step_by(BLOCK) {
+            let end = (start + BLOCK).min(self.npts);
+            let n = end - start;
+            let (z2, usable) = (&mut z2[..n], &mut usable[..n]);
+            let (sum, sumsq) = (&self.sum[start..end], &self.sumsq[start..end]);
+            let special = &self.special[start..end];
+            let (orig, eval) = (&member_orig[start..end], &eval[start..end]);
+            for i in 0..n {
+                let xm = orig[i] as f64;
+                let mean = (sum[i] - xm) / nm1;
+                let var = ((sumsq[i] - xm * xm) / nm1 - mean * mean).max(0.0);
+                let sigma = var.sqrt();
+                let z = (eval[i] as f64 - mean) / sigma;
+                z2[i] = z * z;
+                // σ is never NaN (`max` drops a NaN variance), so this is
+                // exactly "not below MIN_SIGMA".
+                usable[i] = !special[i] & (sigma >= MIN_SIGMA);
             }
-            let xm = member_orig[p] as f64;
-            let mean = (self.sum[p] - xm) / nm1;
-            let var = ((self.sumsq[p] - xm * xm) / nm1 - mean * mean).max(0.0);
-            let sigma = var.sqrt();
-            if sigma < MIN_SIGMA {
-                continue;
+            for (&v, &ok) in z2.iter().zip(usable.iter()) {
+                acc += if ok { v } else { 0.0 };
+                count += ok as usize;
             }
-            let z = (eval[p] as f64 - mean) / sigma;
-            acc += z * z;
-            count += 1;
         }
         if count == 0 {
             None
