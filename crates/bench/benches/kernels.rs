@@ -122,6 +122,10 @@ fn member_field(m: usize, npts: usize) -> Vec<f32> {
         .collect()
 }
 
+/// The three kernels the tuning sweep spends its per-call overhead in.
+/// Indicative only: the offline criterion stand-in times one sample of
+/// ten iterations, and two runs of unchanged code have differed by about
+/// 20%, so these figures cannot resolve a change of that size.
 fn bench_tuning_kernels(c: &mut Criterion) {
     // A deflate literal/length alphabet (286 symbols) with the skewed,
     // partly empty histogram an SZ token stream gives.

@@ -136,38 +136,18 @@ fn bits_needed(q: &[i64]) -> u32 {
     64 - max.leading_zeros()
 }
 
-/// Rice parameter minimizing the exact coded size: start from the
-/// log2(mean) estimate and descend the (convex) size curve.
-fn rice_k_for(zz: &[u64]) -> u32 {
-    let k = rice_k_estimate(zz);
-    let mut best = (rice_size(zz, k), k);
-    for cand in k.saturating_sub(2)..=(k + 2).min(40) {
-        let size = rice_size(zz, cand);
-        if size < best.0 {
-            best = (size, cand);
-        }
-    }
-    best.1
-}
-
-/// The log2(mean) estimate [`rice_k_for`] searches around.
-fn rice_k_estimate(zz: &[u64]) -> u32 {
+/// Rice parameter minimizing the exact coded size, with that size. The
+/// candidates are the log2(mean) estimate and the two parameters on
+/// either side of it, all sized in one pass. A tie keeps the estimate if
+/// it reaches the least size, otherwise the lowest candidate that does.
+fn rice_best(zz: &[u64]) -> (u32, u64) {
     let mean = zz.iter().map(|&v| v as u128).sum::<u128>() / zz.len().max(1) as u128;
     let mut k = 0u32;
     while (1u128 << (k + 1)) <= mean + 1 && k < 40 {
         k += 1;
     }
-    k
-}
-
-/// `rice_size(zz, rice_k_for(zz))` in two passes instead of about seven:
-/// the mean, then the sizes at all of [`rice_k_for`]'s candidates at
-/// once. Its pick is a candidate of least size, so whichever way it
-/// breaks a tie, its size is the least one here.
-fn rice_size_best(zz: &[u64]) -> u64 {
-    let k = rice_k_estimate(zz);
     let (lo, hi) = (k.saturating_sub(2), (k + 2).min(40));
-    // Lanes past `hi` repeat `hi`, which leaves the minimum alone.
+    // Lanes past `hi` repeat `hi`, so they never come first at the minimum.
     let cands: [u32; 5] = std::array::from_fn(|j| (lo + j as u32).min(hi));
     let mut sizes = [0u64; 5];
     for &v in zz {
@@ -176,7 +156,14 @@ fn rice_size_best(zz: &[u64]) -> u64 {
             *size += if q < 48 { q + 1 + c as u64 } else { 48 + 64 };
         }
     }
-    sizes.into_iter().min().unwrap_or(0)
+    let least = sizes.into_iter().min().unwrap_or(0);
+    let at_estimate = sizes[(k - lo) as usize];
+    let best = if at_estimate == least {
+        k
+    } else {
+        cands[sizes.iter().position(|&size| size == least).unwrap_or(0)]
+    };
+    (best, least)
 }
 
 /// Split a residual stream into (up to) four equal quarters, each of which
@@ -184,21 +171,6 @@ fn rice_size_best(zz: &[u64]) -> u64 {
 fn quarters(zz: &[u64]) -> impl Iterator<Item = &[u64]> {
     let chunk = zz.len().div_ceil(4).max(1);
     zz.chunks(chunk)
-}
-
-/// Exact bit count `write_rice` will produce for `zz` at parameter `k`
-/// (including the 48-one escape used for huge quotients).
-fn rice_size(zz: &[u64], k: u32) -> u64 {
-    let mut bits = 0u64;
-    for &v in zz {
-        let q = v >> k;
-        if q < 48 {
-            bits += q + 1 + k as u64;
-        } else {
-            bits += 48 + 64;
-        }
-    }
-    bits
 }
 
 /// The fixed-rate search: the smallest quantization shift (at most 40)
@@ -218,7 +190,7 @@ fn fixed_rate_shift(q: &[i64], order: usize, payload: u64, filtered: &mut Vec<i6
         zz.extend(filtered[order..].iter().map(|&v| zigzag(v)));
         let mut size = 0u64;
         if quarters(&zz).all(|quarter| {
-            size += rice_size_best(quarter);
+            size += rice_best(quarter).1;
             size <= payload
         }) {
             return s;
@@ -306,7 +278,7 @@ impl Apax {
                 // within a block are common for lognormal variables); the
                 // 6-bit header field holds the first.
                 let zz: Vec<u64> = filtered[order..].iter().map(|&v| zigzag(v)).collect();
-                let mut ks: Vec<u32> = quarters(&zz).map(rice_k_for).collect();
+                let mut ks: Vec<u32> = quarters(&zz).map(|quarter| rice_best(quarter).0).collect();
                 ks.resize(4, 0);
                 for &k in &ks {
                     w.write_bits(k as u64, 6);
@@ -656,29 +628,83 @@ mod tests {
         }
     }
 
+    /// Exact bit count `write_rice` produces for `zz` at parameter `k`
+    /// (including the 48-one escape used for huge quotients).
+    fn rice_size(zz: &[u64], k: u32) -> u64 {
+        let mut bits = 0u64;
+        for &v in zz {
+            let q = v >> k;
+            if q < 48 {
+                bits += q + 1 + k as u64;
+            } else {
+                bits += 48 + 64;
+            }
+        }
+        bits
+    }
+
+    /// The log2(mean) estimate the Rice parameter search starts from.
+    fn rice_k_estimate(zz: &[u64]) -> u32 {
+        let mean = zz.iter().map(|&v| v as u128).sum::<u128>() / zz.len().max(1) as u128;
+        let mut k = 0u32;
+        while (1u128 << (k + 1)) <= mean + 1 && k < 40 {
+            k += 1;
+        }
+        k
+    }
+
+    /// The Rice parameter search as first written, one pass per
+    /// candidate: start from the estimate, then take each candidate from
+    /// k−2 up to k+2 that is strictly smaller.
+    fn rice_k_for(zz: &[u64]) -> u32 {
+        let k = rice_k_estimate(zz);
+        let mut best = (rice_size(zz, k), k);
+        for cand in k.saturating_sub(2)..=(k + 2).min(40) {
+            let size = rice_size(zz, cand);
+            if size < best.0 {
+                best = (size, cand);
+            }
+        }
+        best.1
+    }
+
     #[test]
-    fn one_pass_rice_size_matches_search() {
+    fn one_pass_rice_choice_matches_search() {
         let mut next = lcg(0xA9A7);
-        let mut escaped = false;
-        for case in 0..600 {
+        // Both halves of the tie rule must be exercised: the estimate
+        // kept although a lower candidate ties it, and the lowest of two
+        // tied candidates taken when the estimate is larger.
+        let (mut escaped, mut kept_estimate, mut took_lowest) = (false, false, false);
+        for case in 0..800 {
             let len = (next() % 70) as usize;
-            let zz: Vec<u64> = match case % 3 {
+            let zz: Vec<u64> = match case % 4 {
                 // Random magnitudes from 0 to 64 bits.
                 0 => (0..len).map(|_| next() >> (next() % 65).min(63)).collect(),
                 1 => vec![0; len],
                 // Escape-heavy: small values with every seventh one huge.
-                _ => (0..len)
+                2 => (0..len)
                     .map(|i| match i % 7 {
                         0 => (next() >> (next() % 8)) | 1 << 56,
                         _ => next() % 4,
                     })
                     .collect(),
+                // Short runs of small values, where candidate sizes tie.
+                _ => (0..len % 6).map(|_| next() % 16).collect(),
             };
             let k = rice_k_for(&zz);
+            let size = rice_size(&zz, k);
+            let est = rice_k_estimate(&zz);
+            let ties = (est.saturating_sub(2)..=(est + 2).min(40))
+                .filter(|&c| rice_size(&zz, c) == size)
+                .count();
             escaped |= zz.iter().any(|&v| v >> k >= 48);
-            assert_eq!(rice_size_best(&zz), rice_size(&zz, k), "case {case}: {zz:?}");
+            kept_estimate |= k == est && est > 0 && rice_size(&zz, est - 1) == size;
+            took_lowest |= k != est && ties > 1;
+            assert_eq!(rice_best(&zz), (k, size), "case {case}: {zz:?}");
         }
         assert!(escaped, "no case reached the escape code");
+        assert!(kept_estimate, "no case kept the estimate over a tied lower candidate");
+        assert!(took_lowest, "no case chose between tied candidates below the estimate");
     }
 
     /// The fixed-rate search as first written: new vectors per trial

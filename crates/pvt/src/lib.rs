@@ -54,12 +54,9 @@ pub struct EnsembleStats {
     n_members: usize,
     sum: Vec<f64>,
     sumsq: Vec<f64>,
-    /// Two smallest values per point (for max-difference queries that must
-    /// exclude one member).
-    min1: Vec<f32>,
-    min2: Vec<f32>,
-    max1: Vec<f32>,
-    max2: Vec<f32>,
+    /// Smallest and largest value per point (for max-difference queries).
+    min: Vec<f32>,
+    max: Vec<f32>,
     /// Per-point special-value flag (any member special ⇒ point excluded).
     special: Vec<bool>,
     /// Per-member global (unweighted) means, for the range-shift check.
@@ -74,10 +71,8 @@ impl EnsembleStats {
             n_members: 0,
             sum: vec![0.0; npts],
             sumsq: vec![0.0; npts],
-            min1: vec![f32::INFINITY; npts],
-            min2: vec![f32::INFINITY; npts],
-            max1: vec![f32::NEG_INFINITY; npts],
-            max2: vec![f32::NEG_INFINITY; npts],
+            min: vec![f32::INFINITY; npts],
+            max: vec![f32::NEG_INFINITY; npts],
             special: vec![false; npts],
             global_means: Vec::new(),
         }
@@ -100,19 +95,18 @@ impl EnsembleStats {
 
     /// Accumulate one member's field.
     ///
-    /// Branch-free per point, in one loop each for the sums, the minima
-    /// and the maxima, so each vectorises. A special value adds `+0.0` to
+    /// Branch-free per point, in one loop for the sums and one for the
+    /// extremes, so each vectorises. A special value adds `+0.0` to
     /// the sums, which is exact because they start at `+0.0` and so never
-    /// hold `-0.0`; it offers `+∞`/`−∞` to the extremes, which neither
-    /// replaces nor shifts; and it sets the point's flag. Every other
+    /// hold `-0.0`; it offers `+∞`/`−∞` to the extremes, which never
+    /// replaces them; and it sets the point's flag. Every other
     /// value takes the same operations in the same order as a branching
     /// loop that skips special values.
     pub fn add_member(&mut self, data: &[f32]) {
         let n = self.npts;
         assert_eq!(data.len(), n, "field length mismatch");
         let (sum, sumsq) = (&mut self.sum[..n], &mut self.sumsq[..n]);
-        let (min1, min2) = (&mut self.min1[..n], &mut self.min2[..n]);
-        let (max1, max2) = (&mut self.max1[..n], &mut self.max2[..n]);
+        let (min, max) = (&mut self.min[..n], &mut self.max[..n]);
         let special = &mut self.special[..n];
         for p in 0..n {
             let v = data[p];
@@ -124,17 +118,10 @@ impl EnsembleStats {
         }
         for p in 0..n {
             let v = data[p];
-            let lo = if is_special(v) { f32::INFINITY } else { v };
-            let (m1, m2) = (min1[p], min2[p]);
-            min1[p] = if lo < m1 { lo } else { m1 };
-            min2[p] = if lo < m1 { m1 } else if lo < m2 { lo } else { m2 };
-        }
-        for p in 0..n {
-            let v = data[p];
-            let hi = if is_special(v) { f32::NEG_INFINITY } else { v };
-            let (m1, m2) = (max1[p], max2[p]);
-            max1[p] = if hi > m1 { hi } else { m1 };
-            max2[p] = if hi > m1 { m1 } else if hi > m2 { hi } else { m2 };
+            let sp = is_special(v);
+            let (lo, hi) = if sp { (f32::INFINITY, f32::NEG_INFINITY) } else { (v, v) };
+            min[p] = if lo < min[p] { lo } else { min[p] };
+            max[p] = if hi > max[p] { hi } else { max[p] };
         }
         // The global mean is an ordered sum, so it stays out of the
         // vectorised loops; same `+0.0` rule.
@@ -199,10 +186,13 @@ impl EnsembleStats {
         }
     }
 
-    /// Eq. (10): the normalized maximum pointwise difference between
-    /// `member_orig` (member `m`) and every other member — computed from
-    /// the per-point extremes with member `m`'s own contribution removed.
-    /// `range` is `R_X^m`, member m's own data range.
+    /// Eq. (10): the maximum pointwise difference between `member_orig`
+    /// (member `m`) and every other member, divided by `R_X^m`, member
+    /// m's own data range. The whole ensemble's per-point
+    /// extremes serve for those of `{E \ m}`: when v is the extreme member
+    /// m recorded, its own difference |v − v| is 0, and the other
+    /// extreme, a value of another member (there are at least two), is at
+    /// least as far from v as any other value.
     pub fn enmax_excluding(&self, member_orig: &[f32]) -> Option<f64> {
         assert_eq!(member_orig.len(), self.npts);
         assert!(self.n_members >= 3, "need at least 3 members");
@@ -223,12 +213,7 @@ impl EnsembleStats {
             if self.special[p] {
                 continue;
             }
-            // Extremes of {E \ m}: if v is the recorded extreme, fall back
-            // to the second-best. (If v appears twice, using the second
-            // value is still correct — the other copy belongs to another
-            // member.)
-            let lo = if v == self.min1[p] { self.min2[p] } else { self.min1[p] };
-            let hi = if v == self.max1[p] { self.max2[p] } else { self.max1[p] };
+            let (lo, hi) = (self.min[p], self.max[p]);
             if lo.is_finite() {
                 emax = emax.max((v as f64 - lo as f64).abs());
             }
