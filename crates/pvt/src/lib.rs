@@ -44,7 +44,7 @@ pub const MIN_SIGMA: f64 = 1.0e-12;
 
 /// Streaming per-gridpoint ensemble statistics with leave-one-out support.
 ///
-/// Accumulates sums, squared sums, and the two extreme values per grid
+/// Accumulates sums, squared sums, and the minimum and maximum per grid
 /// point so that, for any member `m` whose own field is re-supplied, the
 /// statistics of the sub-ensemble `{E \ m}` are recovered exactly — without
 /// ever holding the whole ensemble in memory.
